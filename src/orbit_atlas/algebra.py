@@ -74,11 +74,12 @@ def structure_constants(gens: list[np.ndarray]) -> np.ndarray:
 
 
 def partial_transpose(matrix: np.ndarray, k: int, m: int) -> np.ndarray:
-    """Partial transpose on the second factor of a (k*m, k*m) matrix."""
+    """Partial transpose on the second factor of a (k*m, k*m) matrix, or of
+    each matrix in a (..., k*m, k*m) stack."""
     matrix = np.asarray(matrix)
     n = k * m
-    if matrix.shape != (n, n):
+    if matrix.shape[-2:] != (n, n):
         raise ValueError(f"expected a {n}x{n} matrix for bipartition ({k},{m}), got {matrix.shape}")
-    return (
-        matrix.reshape(k, m, k, m).transpose(0, 3, 2, 1).reshape(n, n).copy()
-    )
+    lead = matrix.shape[:-2]
+    blocks = matrix.reshape(*lead, k, m, k, m)
+    return np.swapaxes(blocks, -3, -1).reshape(*lead, n, n).copy()

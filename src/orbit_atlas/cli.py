@@ -26,12 +26,15 @@ import numpy as np
 
 from .entanglement import (
     absolutely_separable,
-    concurrence_mixed,
+    concurrences,
     cstar,
     entanglement_of_formation,
     entanglement_report,
-    maximal_ball_check,
+    in_maximal_ball,
     ppt_check,
+    pt_spectra,
+    purities,
+    unit_spectrum,
 )
 from .gram import RANK_TOL, gram_direct
 from .canonical import canonicalize_mixed_2x2, pure_stratum
@@ -46,12 +49,17 @@ from .states import (
     random_state,
     state_from_json,
     validate_density,
-    werner_state,
+    werner_matrices,
 )
 from .strata import dims_report, weyl_cell
 from .submaximal import CASES, verify_cases
 
 __all__ = ["main"]
+
+# States per werner-scan block: large enough to amortise the per-call cost
+# of the stacked LAPACK kernels, small enough that the block's temporaries
+# stay well below the interpreter's own resident memory.
+WERNER_BLOCK = 256
 
 
 class _CliError(Exception):
@@ -60,6 +68,17 @@ class _CliError(Exception):
 
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
+
+
+def _tolerance(text: str) -> float:
+    """argparse type for --tol: a finite, nonnegative float."""
+    try:
+        value = float(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"invalid tolerance {text!r}") from exc
+    if not np.isfinite(value) or value < 0.0:
+        raise argparse.ArgumentTypeError(f"tolerance must be finite and nonnegative, got {text!r}")
+    return value
 
 
 def _default_seed() -> int:
@@ -116,7 +135,7 @@ def _floats(values) -> list[float]:
 def _canonical_payload(w: DensityMatrix) -> dict | None:
     if (w.k, w.m) != (2, 2):
         return None
-    purity = float(np.trace(w.matrix @ w.matrix).real)
+    purity = float(purities(w.matrix))
     if purity > 1.0 - 1e-8:
         vals, vecs = np.linalg.eigh(w.matrix)
         amp = vecs[:, -1]
@@ -177,22 +196,23 @@ def _cmd_werner_scan(args) -> int:
         raise _CliError("step counts must be at least 2")
     xs = np.linspace(0.0, 1.0, args.x_steps)
     thetas = np.linspace(0.0, np.pi / 2.0, args.theta_steps)
+    x_grid = np.repeat(xs, thetas.size)
+    theta_grid = np.tile(thetas, xs.size)
     with _open_out(args.out) as fh:
         fh.write("x,theta,concurrence,eof,min_pt_eigenvalue,in_ball\n")
-        for x in xs:
-            for theta in thetas:
-                w = werner_state(float(x), float(theta))
-                c = concurrence_mixed(w)
-                ppt = ppt_check(w)
-                row = [
-                    _fmt(x),
-                    _fmt(theta),
-                    _fmt(c),
-                    _fmt(entanglement_of_formation(c)),
-                    _fmt(ppt.spectrum[0]),
-                    "1" if maximal_ball_check(w) else "0",
-                ]
-                fh.write(",".join(row) + "\n")
+        for start in range(0, x_grid.size, WERNER_BLOCK):
+            x = x_grid[start : start + WERNER_BLOCK]
+            theta = theta_grid[start : start + WERNER_BLOCK]
+            mats = werner_matrices(x, theta)
+            conc = concurrences(mats)
+            min_pt = pt_spectra(mats, 2, 2)[:, 0]
+            ball = in_maximal_ball(purities(mats), 4)
+            rows = zip(x.tolist(), theta.tolist(), conc.tolist(), min_pt.tolist(), ball.tolist())
+            fh.write("".join(
+                f"{_fmt(xv)},{_fmt(tv)},{_fmt(c)},{_fmt(entanglement_of_formation(c))},"
+                f"{_fmt(pt)},{'1' if inside else '0'}\n"
+                for xv, tv, c, pt, inside in rows
+            ))
     return 0
 
 
@@ -294,10 +314,8 @@ def _cmd_ball_check(args) -> int:
     if args.input is not None:
         w, _ = _load_state(args.input)
         n = w.dim
-        purity = float(np.trace(w.matrix @ w.matrix).real)
-        in_ball = maximal_ball_check(w)
-        spec = np.sort(np.linalg.eigvalsh(w.matrix).clip(0.0, None))[::-1]
-        spec = spec / spec.sum()
+        purity = float(purities(w.matrix))
+        spec = unit_spectrum(w)
     else:
         try:
             spec = np.sort(np.array([float(s) for s in args.spectrum.split(",")]))[::-1]
@@ -306,16 +324,17 @@ def _cmd_ball_check(args) -> int:
         n = spec.size
         if n < 2:
             raise _CliError("--spectrum needs at least 2 eigenvalues")
+        if not np.all(np.isfinite(spec)):
+            raise _CliError("--spectrum entries must be finite")
         if np.any(spec < -1e-12):
             raise _CliError("--spectrum entries must be nonnegative")
         if abs(spec.sum() - 1.0) > 1e-8:
             raise _CliError(f"--spectrum must sum to 1, got {spec.sum()}")
         purity = float(spec @ spec)
-        in_ball = purity - 1.0 / n <= 1.0 / (n * (n - 1)) + 1e-12
     out = {
         "n": int(n),
         "purity": purity,
-        "in_ball": bool(in_ball),
+        "in_ball": bool(in_maximal_ball(purity, n)),
         "cstar": float(cstar(spec)) if n == 4 else None,
         "absolutely_separable": absolutely_separable(spec, args.tol) if n == 4 else None,
     }
@@ -333,7 +352,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="full JSON report for one state file")
     p.add_argument("input", help="JSON state file ('matrix' or Bloch 'g' payload)")
-    p.add_argument("--tol", type=float, default=RANK_TOL, help="Gram rank tolerance")
+    p.add_argument("--tol", type=_tolerance, default=RANK_TOL, help="Gram rank tolerance")
     p.set_defaults(func=_cmd_analyze)
 
     p = sub.add_parser("werner-scan", help="CSV sweep of the generalized Werner family")
@@ -346,7 +365,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cases", default="1-9", help="case subset, e.g. '1,3,5-7' (default 1-9)")
     p.add_argument("--samples", type=int, default=100, help="parameter points per case")
     p.add_argument("--seed", type=int, default=None, help="sampling seed (default ORBIT_ATLAS_SEED or 0)")
-    p.add_argument("--tol", type=float, default=1e-9, help="residual tolerance")
+    p.add_argument("--tol", type=_tolerance, default=1e-9, help="residual tolerance")
     p.add_argument("--out", default=None, help="write the JSON report here instead of stdout")
     p.set_defaults(func=_cmd_appendix_verify)
 
@@ -356,7 +375,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=int, required=True, help="number of samples")
     p.add_argument("--seed", type=int, default=None, help="sampling seed (default ORBIT_ATLAS_SEED or 0)")
     p.add_argument("--ensemble", choices=("mixed", "pure"), default="mixed")
-    p.add_argument("--tol", type=float, default=RANK_TOL, help="Gram rank tolerance")
+    p.add_argument("--tol", type=_tolerance, default=RANK_TOL, help="Gram rank tolerance")
     p.add_argument("--out", required=True, help="output CSV path")
     p.set_defaults(func=_cmd_random_scan)
 
@@ -368,7 +387,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ball-check", help="maximal-ball and absolute-separability diagnostics")
     p.add_argument("input", nargs="?", default=None, help="JSON state file")
     p.add_argument("--spectrum", default=None, help="comma-separated eigenvalues instead of a file")
-    p.add_argument("--tol", type=float, default=1e-12, help="c* threshold for absolute separability")
+    p.add_argument("--tol", type=_tolerance, default=1e-12, help="c* threshold for absolute separability")
     p.set_defaults(func=_cmd_ball_check)
 
     return parser

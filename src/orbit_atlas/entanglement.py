@@ -11,6 +11,11 @@ For any bipartition: the partial-transpose test (conclusive exactly for
 maximally mixed state, and the spectrum-only bound
 c* = max(0, r1 - r3 - 2 sqrt(r2 r4)) on absolutely separable 2x2 spectra.
 
+The spin-flip spectrum, concurrence, partial-transpose spectrum and
+purity are computed by kernels on (..., n, n) stacks (``xi_spectra``,
+``concurrences``, ``pt_spectra``, ``purities``); the per-state functions
+wrap them, so a stack and a loop over its states run the same arithmetic.
+
 ``char_coeffs`` returns the characteristic polynomial coefficients of a
 canonical 2x2 Bloch form (diagonal G) in closed form; the partially
 transposed variant differs in exactly three terms, obtained by the
@@ -29,15 +34,21 @@ from .states import BlochForm, DensityMatrix
 __all__ = [
     "concurrence_pure",
     "spin_flip",
+    "xi_spectra",
     "xi_spectrum",
+    "concurrences",
     "concurrence_mixed",
     "entanglement_of_formation",
     "PPTResult",
+    "pt_spectra",
     "ppt_check",
     "char_coeffs",
+    "purities",
+    "in_maximal_ball",
     "maximal_ball_check",
     "cstar",
     "absolutely_separable",
+    "unit_spectrum",
     "EntanglementReport",
     "entanglement_report",
 ]
@@ -68,27 +79,40 @@ def spin_flip(w: DensityMatrix) -> np.ndarray:
     return mat @ _FLIP @ mat.conj() @ _FLIP
 
 
-def xi_spectrum(w: DensityMatrix, clamp: float = XI_CLAMP) -> np.ndarray:
-    """Eigenvalues of the spin-flipped matrix, descending.
+def xi_spectra(mats: np.ndarray, clamp: float = XI_CLAMP) -> np.ndarray:
+    """Spin-flip spectra of a (..., 4, 4) stack of 2x2 density matrices,
+    each descending along the last axis.
 
     Computed as squared singular values of sqrt(W) F sqrt(W)* with
     F = sigma_y x sigma_y: these equal the eigenvalues of W Wbar exactly
     but remain fully accurate near zero, where the plain nonsymmetric
-    eigensolve loses half the digits.  Raises if W is not PSD to clamp.
+    eigensolve loses half the digits.  Raises if any W is not PSD to clamp.
     """
-    mat = _mat_2x2(w)
-    vals, vecs = np.linalg.eigh(mat)
-    if vals[0] < -clamp:
-        raise ValueError(f"density matrix has negative eigenvalue {vals[0]}")
-    root = (vecs * np.sqrt(vals.clip(0.0, None))) @ vecs.conj().T
+    vals, vecs = np.linalg.eigh(mats)
+    low = vals[..., 0].min(initial=0.0)
+    if low < -clamp:
+        raise ValueError(f"density matrix has negative eigenvalue {low}")
+    root = (vecs * np.sqrt(vals.clip(0.0, None))[..., None, :]) @ np.swapaxes(vecs.conj(), -1, -2)
     s = np.linalg.svd(root @ _FLIP @ root.conj(), compute_uv=False)
-    return np.sort(s * s)[::-1]
+    return np.sort(s * s, axis=-1)[..., ::-1]
+
+
+def xi_spectrum(w: DensityMatrix, clamp: float = XI_CLAMP) -> np.ndarray:
+    """Eigenvalues of the spin-flipped matrix, descending (see xi_spectra)."""
+    return xi_spectra(_mat_2x2(w), clamp)
+
+
+def concurrences(mats: np.ndarray) -> np.ndarray:
+    """Concurrence max(0, sqrt(xi_1) - sqrt(xi_2) - sqrt(xi_3) - sqrt(xi_4))
+    of each matrix in a (..., 4, 4) stack."""
+    r = np.sqrt(xi_spectra(mats))
+    c = r[..., 0] - r[..., 1] - r[..., 2] - r[..., 3]
+    return np.where(c > 0.0, c, 0.0)
 
 
 def concurrence_mixed(w: DensityMatrix) -> float:
     """Concurrence max(0, sqrt(xi_1) - sqrt(xi_2) - sqrt(xi_3) - sqrt(xi_4))."""
-    r = np.sqrt(xi_spectrum(w))
-    return float(max(0.0, r[0] - r[1] - r[2] - r[3]))
+    return float(concurrences(_mat_2x2(w)))
 
 
 def _h2(p: float) -> float:
@@ -113,6 +137,11 @@ class PPTResult:
     verdict: str  # "separable" | "entangled" | "ppt_undecided"
 
 
+def pt_spectra(mats: np.ndarray, k: int, m: int) -> np.ndarray:
+    """Partial-transpose spectra (ascending) of a (..., k*m, k*m) stack."""
+    return np.linalg.eigvalsh(partial_transpose(mats, k, m))
+
+
 def ppt_check(w: DensityMatrix, tol: float = PPT_TOL) -> PPTResult:
     """Positivity of the partial transpose.
 
@@ -120,7 +149,7 @@ def ppt_check(w: DensityMatrix, tol: float = PPT_TOL) -> PPTResult:
     nonnegative spectrum proves separability only for 2x2, 2x3, and 3x2,
     and is reported as "ppt_undecided" otherwise.
     """
-    spec = np.linalg.eigvalsh(partial_transpose(w.matrix, w.k, w.m))
+    spec = pt_spectra(w.matrix, w.k, w.m)
     if spec[0] < -tol:
         verdict = "entangled"
     elif (w.k, w.m) in {(2, 2), (2, 3), (3, 2)}:
@@ -178,13 +207,23 @@ def char_coeffs(f: BlochForm, transposed: bool = False) -> np.ndarray:
     return np.array([1.0, -1.0, c2, c1, c0])
 
 
-def maximal_ball_check(w: DensityMatrix) -> bool:
-    """Whether the state lies in the maximal ball around I/N,
-    Tr(rho^2) - 1/N <= 1/(N(N-1)), boundary included.  Every state in the
-    ball is PPT; for N = 4 and N = 6 it is separable outright."""
-    n = w.dim
-    purity = float(np.trace(w.matrix @ w.matrix).real)
+def purities(mats: np.ndarray) -> np.ndarray:
+    """Purity Tr(rho^2) of each matrix in a (..., n, n) stack."""
+    return np.trace(mats @ mats, axis1=-2, axis2=-1).real
+
+
+def in_maximal_ball(purity, n: int):
+    """Whether purity Tr(rho^2) of an n-level state puts it in the maximal
+    ball around I/n, Tr(rho^2) - 1/n <= 1/(n(n-1)), boundary included.
+    Works elementwise on arrays of purities."""
     return purity - 1.0 / n <= 1.0 / (n * (n - 1)) + 1e-12
+
+
+def maximal_ball_check(w: DensityMatrix) -> bool:
+    """Whether the state lies in the maximal ball around I/N (see
+    in_maximal_ball).  Every state in the ball is PPT; for N = 4 and N = 6
+    it is separable outright."""
+    return bool(in_maximal_ball(float(purities(w.matrix)), w.dim))
 
 
 def cstar(spectrum) -> float:
@@ -194,6 +233,8 @@ def cstar(spectrum) -> float:
     r = np.asarray(spectrum, dtype=float).reshape(-1)
     if r.shape != (4,):
         raise ValueError(f"expected 4 eigenvalues, got shape {r.shape}")
+    if not np.all(np.isfinite(r)):
+        raise ValueError(f"spectrum must be finite, got {r}")
     if np.any(r < -1e-12):
         raise ValueError("spectrum must be nonnegative")
     if abs(r.sum() - 1.0) > 1e-8:
@@ -218,6 +259,13 @@ def absolutely_separable(spectrum, tol: float = 1e-12) -> str:
     return "yes" if rank <= 3 else "yes_conjectural"
 
 
+def unit_spectrum(w: DensityMatrix) -> np.ndarray:
+    """Eigenvalues of w clipped at zero, sorted descending and normalised
+    to unit sum: the spectrum that cstar and absolutely_separable take."""
+    spec = np.sort(np.linalg.eigvalsh(w.matrix).clip(0.0, None))[::-1]
+    return spec / spec.sum()
+
+
 @dataclass(frozen=True)
 class EntanglementReport:
     """Bundle of entanglement diagnostics; 2x2-only fields are None otherwise."""
@@ -237,8 +285,7 @@ def entanglement_report(w: DensityMatrix) -> EntanglementReport:
     ball = maximal_ball_check(w)
     if (w.k, w.m) == (2, 2):
         c = concurrence_mixed(w)
-        spec = np.sort(np.linalg.eigvalsh(w.matrix).clip(0.0, None))[::-1]
-        spec = spec / spec.sum()
+        spec = unit_spectrum(w)
         return EntanglementReport(
             concurrence=c,
             eof=entanglement_of_formation(c),

@@ -33,6 +33,7 @@ __all__ = [
     "decompose_bloch",
     "schmidt_vector",
     "werner_state",
+    "werner_matrices",
     "random_state",
     "haar_unitary",
     "random_su2",
@@ -118,8 +119,10 @@ def _gens(n: int) -> tuple[np.ndarray, ...]:
 
 
 def validate_density(w: DensityMatrix, tol: float = PSD_TOL) -> None:
-    """Raise ValueError unless w is Hermitian, unit trace, and PSD within tol."""
+    """Raise ValueError unless w is finite, Hermitian, unit trace, and PSD within tol."""
     mat = w.matrix
+    if not np.all(np.isfinite(mat)):
+        raise ValueError("matrix has non-finite entries")
     if np.max(np.abs(mat - mat.conj().T)) > 1e-8:
         raise ValueError("matrix is not Hermitian")
     tr = np.trace(mat).real
@@ -179,20 +182,43 @@ def decompose_bloch(w: DensityMatrix) -> BlochForm:
     return BlochForm(k, m, a, b, g)
 
 
+def _schmidt_amplitudes(theta) -> np.ndarray:
+    """Amplitudes (cos(theta/2), 0, 0, sin(theta/2)) for each theta, shape (..., 4)."""
+    theta = np.asarray(theta, dtype=float)
+    bad = ~((0.0 <= theta) & (theta <= np.pi / 2 + 1e-12))
+    if np.any(bad):
+        raise ValueError(f"theta must lie in [0, pi/2], got {theta[bad].flat[0]}")
+    zero = np.zeros_like(theta)
+    amp = np.stack([np.cos(theta / 2), zero, zero, np.sin(theta / 2)], axis=-1).astype(complex)
+    nrm = np.linalg.norm(amp, axis=-1)
+    off = np.abs(nrm - 1.0) > 1e-8
+    if np.any(off):
+        raise ValueError(f"pure state must be normalized, got norm {nrm[off].flat[0]}")
+    return amp
+
+
 def schmidt_vector(theta: float) -> PureState:
     """The 2x2 pure state cos(theta/2)|00> + sin(theta/2)|11> for theta in [0, pi/2]."""
-    if not 0.0 <= theta <= np.pi / 2 + 1e-12:
-        raise ValueError(f"theta must lie in [0, pi/2], got {theta}")
-    return PureState(2, 2, np.array([np.cos(theta / 2), 0.0, 0.0, np.sin(theta / 2)]))
+    return PureState(2, 2, _schmidt_amplitudes(theta))
+
+
+def werner_matrices(x, theta) -> np.ndarray:
+    """Matrices x |psi_theta><psi_theta| + (1 - x) I/4 for broadcast arrays
+    x and theta, as a (..., 4, 4) complex stack (a single (4, 4) matrix for
+    scalars).  Every x must lie in [0, 1] and every theta in [0, pi/2]."""
+    x = np.asarray(x, dtype=float)
+    bad = ~((0.0 <= x) & (x <= 1.0))
+    if np.any(bad):
+        raise ValueError(f"mixing weight x must lie in [0, 1], got {x[bad].flat[0]}")
+    psi = _schmidt_amplitudes(theta)
+    x = x[..., None, None]
+    proj = psi[..., :, None] * psi.conj()[..., None, :]
+    return x * proj + (1.0 - x) * np.eye(4, dtype=complex) / 4.0
 
 
 def werner_state(x: float, theta: float = np.pi / 2) -> DensityMatrix:
     """Mixture x |psi_theta><psi_theta| + (1 - x) I/4 on a 2x2 system."""
-    if not 0.0 <= x <= 1.0:
-        raise ValueError(f"mixing weight x must lie in [0, 1], got {x}")
-    psi = schmidt_vector(theta).amplitudes
-    mat = x * np.outer(psi, psi.conj()) + (1.0 - x) * np.eye(4, dtype=complex) / 4.0
-    return DensityMatrix(2, 2, mat)
+    return DensityMatrix(2, 2, werner_matrices(x, theta))
 
 
 def _rng(seed) -> np.random.Generator:

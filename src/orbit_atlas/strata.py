@@ -29,9 +29,10 @@ class WeylCell:
 def weyl_cell(spectrum, tol: float = 1e-9) -> WeylCell:
     """Classify a density-matrix spectrum by its degeneracy pattern.
 
-    Eigenvalues are sorted descending and grouped whenever the gap between
-    neighbors is at most tol (absolute; spectra are unit trace, so this is
-    also the scale-relative rule).
+    Eigenvalues are sorted descending; each joins the current group while it
+    lies within tol of the group's first (largest) value, so a group never
+    spans more than tol however many small gaps it holds (absolute; spectra
+    are unit trace, so this is also the scale-relative rule).
     """
     r = np.asarray(spectrum, dtype=float).reshape(-1)
     if r.size < 2:
@@ -42,11 +43,13 @@ def weyl_cell(spectrum, tol: float = 1e-9) -> WeylCell:
         raise ValueError(f"spectrum must sum to 1, got {r.sum()}")
     r = np.sort(r)[::-1]
     pattern: list[int] = [1]
-    for gap in -np.diff(r):
-        if gap <= tol:
+    first = r[0]
+    for value in r[1:]:
+        if first - value <= tol:
             pattern[-1] += 1
         else:
             pattern.append(1)
+            first = value
     n = r.size
     d_g = int(n * n - sum(m * m for m in pattern))
     label = "K_" + "".join(str(m) for m in pattern)

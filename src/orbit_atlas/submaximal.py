@@ -25,7 +25,6 @@ from typing import Callable
 
 import numpy as np
 
-from .algebra import partial_transpose
 from .entanglement import concurrence_mixed, ppt_check, xi_spectrum
 from .gram import RANK_TOL, gram_direct
 from .states import BlochForm, DensityMatrix, compose_bloch
@@ -437,9 +436,8 @@ def verify_case(case_id: int, params: dict, rank_tol: float = RANK_TOL) -> CaseV
     pred = case_predictions(case_id, params)
     report = gram_direct(w, rank_tol)
     w_eigs = np.linalg.eigvalsh(w.matrix)
-    pt_eigs = np.linalg.eigvalsh(partial_transpose(w.matrix, 2, 2))
+    ppt = ppt_check(w)
     xi_actual = xi_spectrum(w)
-    verdict = ppt_check(w).verdict
     if pred.concurrence is None:
         conc_res = None
     else:
@@ -447,13 +445,13 @@ def verify_case(case_id: int, params: dict, rank_tol: float = RANK_TOL) -> CaseV
     if pred.separability is None:
         sep_match = True
     else:
-        sep_match = verdict == pred.separability
+        sep_match = ppt.verdict == pred.separability
     return CaseVerdict(
         case_id=case_id,
         params=params,
         gram_eig_residual=_multiset_residual(pred.gram_eigs, report.spectrum),
         w_eig_residual=_multiset_residual(pred.w_eigs, w_eigs),
-        pt_eig_residual=_multiset_residual(pred.pt_eigs, pt_eigs),
+        pt_eig_residual=_multiset_residual(pred.pt_eigs, ppt.spectrum),
         xi_residual=_multiset_residual(pred.xi, xi_actual),
         concurrence_residual=conc_res,
         corank_match=(6 - report.rank) == spec.corank,

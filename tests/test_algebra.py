@@ -71,6 +71,16 @@ def test_partial_transpose_blocks_and_involution():
     np.testing.assert_allclose(partial_transpose(pt, k, m), mat)
 
 
+def test_partial_transpose_of_stack_matches_each_matrix():
+    rng = np.random.default_rng(3)
+    stack = rng.standard_normal((2, 5, 6, 6)) + 1j * rng.standard_normal((2, 5, 6, 6))
+    pt = partial_transpose(stack, 2, 3)
+    for idx in np.ndindex(2, 5):
+        np.testing.assert_array_equal(pt[idx], partial_transpose(stack[idx], 2, 3))
+
+
 def test_partial_transpose_shape_check():
     with pytest.raises(ValueError):
         partial_transpose(np.eye(5), 2, 3)
+    with pytest.raises(ValueError):
+        partial_transpose(np.zeros((3, 5, 5)), 2, 3)

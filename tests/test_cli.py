@@ -5,8 +5,17 @@ import sys
 import numpy as np
 import pytest
 
-from orbit_atlas import pure_density, schmidt_vector, state_to_json
-from orbit_atlas.cli import main
+from orbit_atlas import (
+    concurrence_mixed,
+    entanglement_of_formation,
+    maximal_ball_check,
+    ppt_check,
+    pure_density,
+    schmidt_vector,
+    state_to_json,
+    werner_state,
+)
+from orbit_atlas.cli import WERNER_BLOCK, main
 
 
 @pytest.fixture()
@@ -127,6 +136,39 @@ def test_ball_check_input_contract(bell_file, capsys):
     assert _run(capsys, ["ball-check", "--spectrum", "abc"])[0] == 2
 
 
+@pytest.mark.parametrize("spectrum", ["nan,0.5,0.25,0.25", "inf,0.5,0.25,0.25", "0.5,nan,0.5"])
+def test_ball_check_rejects_non_finite_spectrum(spectrum, capsys):
+    code, out, err = _run(capsys, ["ball-check", "--spectrum", spectrum])
+    assert code == 2 and out == "" and "finite" in err
+
+
+def test_analyze_rejects_non_finite_matrix(tmp_path, capsys):
+    p = tmp_path / "nan.json"
+    diag = [float("nan"), 0.5, 0.25, 0.25]
+    p.write_text(json.dumps({
+        "k": 2, "m": 2,
+        "matrix": [[[diag[i] if i == j else 0.0, 0.0] for j in range(4)] for i in range(4)],
+    }))
+    code, out, err = _run(capsys, ["analyze", str(p)])
+    assert code == 2 and out == "" and "non-finite" in err
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1e-9", "abc"])
+@pytest.mark.parametrize("argv", [
+    ["analyze", "state.json"],
+    ["appendix-verify", "--cases", "1", "--samples", "1"],
+    ["random-scan", "--k", "2", "--m", "2", "--count", "2", "--out", "scan.csv"],
+    ["ball-check", "--spectrum", "0.25,0.25,0.25,0.25"],
+], ids=["analyze", "appendix-verify", "random-scan", "ball-check"])
+def test_tol_must_be_finite_and_nonnegative(argv, tol, tmp_path, capsys):
+    argv = [str(tmp_path / a) if a.endswith((".json", ".csv")) else a for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--tol", tol])
+    assert exc.value.code == 2
+    assert "--tol" in capsys.readouterr().err
+    assert not (tmp_path / "scan.csv").exists()
+
+
 def test_werner_scan_grid(tmp_path, capsys):
     out = tmp_path / "werner.csv"
     code, _, _ = _run(capsys, ["werner-scan", "--x-steps", "5", "--theta-steps", "4",
@@ -150,6 +192,24 @@ def test_werner_scan_deterministic(tmp_path, capsys):
     assert _run(capsys, ["werner-scan", "--x-steps", "4", "--theta-steps", "3", "--out", str(a)])[0] == 0
     assert _run(capsys, ["werner-scan", "--x-steps", "4", "--theta-steps", "3", "--out", str(b)])[0] == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_werner_scan_blocks_match_per_state_reference(tmp_path, capsys):
+    # 23 x 13 = 299 states: one full block and a partial last one
+    nx, nt = 23, 13
+    assert WERNER_BLOCK < nx * nt < 2 * WERNER_BLOCK
+    out = tmp_path / "werner.csv"
+    assert _run(capsys, ["werner-scan", "--x-steps", str(nx), "--theta-steps", str(nt),
+                         "--out", str(out)])[0] == 0
+    ref = ["x,theta,concurrence,eof,min_pt_eigenvalue,in_ball\n"]
+    for x in np.linspace(0.0, 1.0, nx):
+        for theta in np.linspace(0.0, np.pi / 2.0, nt):
+            w = werner_state(float(x), float(theta))
+            c = concurrence_mixed(w)
+            cells = [x, theta, c, entanglement_of_formation(c), ppt_check(w).spectrum[0]]
+            flag = "1" if maximal_ball_check(w) else "0"
+            ref.append(",".join(format(float(v), ".17g") for v in cells) + f",{flag}\n")
+    assert out.read_bytes() == "".join(ref).encode("ascii")
 
 
 def test_werner_scan_errors(tmp_path, capsys):

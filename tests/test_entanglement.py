@@ -10,19 +10,24 @@ from orbit_atlas import (
     compose_bloch,
     concurrence_mixed,
     concurrence_pure,
+    concurrences,
     cstar,
     decompose_bloch,
     entanglement_of_formation,
     entanglement_report,
+    in_maximal_ball,
     maximal_ball_check,
     maximally_mixed,
     partial_transpose,
     ppt_check,
+    pt_spectra,
+    purities,
     pure_density,
     random_state,
     schmidt_vector,
     spin_flip,
     werner_state,
+    xi_spectra,
     xi_spectrum,
 )
 
@@ -174,6 +179,15 @@ def test_cstar_paper_spectrum_and_validation():
         cstar([0.6, 0.3, 0.2, 0.1])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_spectrum_bounds_reject_non_finite(bad):
+    spec = [bad, 0.5, 0.25, 0.25]
+    with pytest.raises(ValueError):
+        cstar(spec)
+    with pytest.raises(ValueError):
+        absolutely_separable(spec)
+
+
 def test_absolutely_separable_labels():
     assert absolutely_separable([0.5, 0.3, 0.2, 0.0]) == "no"
     third = 1.0 / 3.0
@@ -206,3 +220,45 @@ def test_ball_membership_implies_separable_verdict():
             found += 1
             assert ppt_check(w).verdict == "separable"
     assert found > 0
+
+
+def _rank_stack(rng, rank, count=64):
+    """Random 2x2 density matrices of the given rank, mixed toward I/4 with
+    random weights when full rank so that both sides of the maximal ball
+    are present."""
+    g = rng.standard_normal((count, 4, rank)) + 1j * rng.standard_normal((count, 4, rank))
+    mats = g @ g.conj().swapaxes(-1, -2)
+    mats /= np.trace(mats, axis1=-2, axis2=-1).real[:, None, None]
+    if rank == 4:
+        t = rng.uniform(0.0, 1.0, size=(count, 1, 1))
+        mats = t * mats + (1.0 - t) * np.eye(4) / 4.0
+    return mats
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3, 4], ids=["pure", "rank2", "rank3", "mixed"])
+def test_stacked_kernels_equal_per_state_loop(rank):
+    mats = _rank_stack(np.random.default_rng(100 + rank), rank)
+    states = [DensityMatrix(2, 2, m) for m in mats]
+    np.testing.assert_allclose(
+        xi_spectra(mats), [xi_spectrum(w) for w in states], rtol=0, atol=1e-15
+    )
+    np.testing.assert_allclose(
+        concurrences(mats), [concurrence_mixed(w) for w in states], rtol=0, atol=1e-15
+    )
+    np.testing.assert_allclose(
+        pt_spectra(mats, 2, 2)[:, 0], [ppt_check(w).spectrum[0] for w in states], rtol=0, atol=1e-15
+    )
+    np.testing.assert_array_equal(
+        in_maximal_ball(purities(mats), 4), [maximal_ball_check(w) for w in states]
+    )
+
+
+def test_stacked_kernels_keep_leading_shape_and_psd_check():
+    mats = _rank_stack(np.random.default_rng(5), 4, count=6).reshape(2, 3, 4, 4)
+    assert xi_spectra(mats).shape == (2, 3, 4)
+    assert pt_spectra(mats, 2, 2).shape == (2, 3, 4)
+    assert purities(mats).shape == (2, 3)
+    bad = mats.copy()
+    bad[1, 2] = np.diag([0.6, 0.5, 0.0, -0.1])
+    with pytest.raises(ValueError, match="negative eigenvalue"):
+        xi_spectra(bad)

@@ -23,6 +23,7 @@ from orbit_atlas import (
     state_to_json,
     swap_sides,
     validate_density,
+    werner_matrices,
     werner_state,
 )
 
@@ -60,6 +61,9 @@ def test_validate_density_contracts():
     bad_psd = DensityMatrix(2, 2, np.diag([0.6, 0.5, 0.0, -0.1]))
     with pytest.raises(ValueError):
         validate_density(bad_psd)
+    not_finite = DensityMatrix(2, 2, np.diag([np.nan, 0.5, 0.25, 0.25]))
+    with pytest.raises(ValueError, match="non-finite"):
+        validate_density(not_finite)
 
 
 @pytest.mark.parametrize("k,m", [(2, 2), (2, 3), (3, 3)])
@@ -107,6 +111,26 @@ def test_werner_state_endpoints_and_positivity():
             validate_density(werner_state(float(x), float(th)))
     with pytest.raises(ValueError):
         werner_state(1.5)
+
+
+def test_werner_matrices_stack_equals_werner_state():
+    x = np.repeat(np.linspace(0.0, 1.0, 7), 5)
+    theta = np.tile(np.linspace(0.0, np.pi / 2, 5), 7)
+    stack = werner_matrices(x, theta)
+    assert stack.shape == (35, 4, 4)
+    for mat, xv, tv in zip(stack, x, theta):
+        np.testing.assert_array_equal(mat, werner_state(float(xv), float(tv)).matrix)
+
+
+@pytest.mark.parametrize("x,theta", [
+    ([0.2, 1.5], [0.1, 0.2]),
+    ([0.2, np.nan], [0.1, 0.2]),
+    ([0.2, 0.3], [0.1, 2.0]),
+    ([0.2, 0.3], [-0.1, 0.2]),
+])
+def test_werner_matrices_range_checks_cover_whole_stack(x, theta):
+    with pytest.raises(ValueError):
+        werner_matrices(np.array(x), np.array(theta))
 
 
 def test_haar_unitary_and_su2():

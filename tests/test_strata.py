@@ -44,6 +44,15 @@ def test_weyl_cell_tolerance_grouping():
     assert split.pattern == (1, 1, 2)
 
 
+def test_weyl_cell_does_not_chain_small_gaps():
+    # neighbouring gaps of 2e-10 are each within tol, but the four values
+    # spread over 6e-10, so they cannot form one degenerate group
+    spec = [0.25 + 3e-10, 0.25 + 1e-10, 0.25 - 1e-10, 0.25 - 3e-10]
+    cell = weyl_cell(spec, tol=2.5e-10)
+    assert cell.pattern == (2, 2) and cell.label == "K_22"
+    assert weyl_cell(spec, tol=7e-10).label == "K_4"
+
+
 def test_weyl_cell_validation():
     with pytest.raises(ValueError):
         weyl_cell([1.0])
