@@ -4,177 +4,22 @@ Core objects: density matrices and their Bloch forms, the Gram matrix of
 local-orbit tangent vectors (direct and closed form), canonical forms under
 local rotations, entanglement invariants, global-orbit stratification, and
 a verified catalog of 2x2 families with submaximal local orbits.
+
+The package exports exactly the ``__all__`` names of its seven modules.
 """
 
-from .algebra import commutator, partial_transpose, structure_constants, su_generators
-from .canonical import (
-    CanonicalMixedForm,
-    PureStratum,
-    SchmidtForm,
-    amplitude_matrix,
-    canonicalize_mixed_2x2,
-    omega,
-    orbit_sample,
-    pure_stratum,
-    schmidt_pure,
-)
-from .entanglement import (
-    EntanglementReport,
-    PPTResult,
-    absolutely_separable,
-    char_coeffs,
-    concurrence_mixed,
-    concurrence_pure,
-    concurrences,
-    cstar,
-    entanglement_of_formation,
-    entanglement_report,
-    in_maximal_ball,
-    maximal_ball_check,
-    ppt_check,
-    pt_spectra,
-    purities,
-    spin_flip,
-    unit_spectrum,
-    xi_spectra,
-    xi_spectrum,
-)
-from .gram import (
-    RANK_TOL,
-    GramReport,
-    GramSplit2x2,
-    b_block_residual,
-    gram_closed_form,
-    gram_direct,
-    gram_split_2x2,
-    local_orbit_dim,
-    orbit_dim_oracle,
-    pure_gram_spectrum,
-)
-from .states import (
-    BlochForm,
-    DensityMatrix,
-    PureState,
-    apply_local_unitary,
-    bloch_from_json,
-    bloch_to_json,
-    compose_bloch,
-    decompose_bloch,
-    haar_unitary,
-    maximally_mixed,
-    pure_density,
-    random_local_unitary,
-    random_state,
-    random_su2,
-    schmidt_vector,
-    state_from_json,
-    state_to_json,
-    swap_sides,
-    validate_density,
-    werner_matrices,
-    werner_state,
-)
-from .strata import DimsReport, WeylCell, dims_report, effective_dim, weyl_cell
-from .submaximal import (
-    CASES,
-    CasePredictions,
-    CaseSpec,
-    CaseVerdict,
-    case_bloch,
-    case_predictions,
-    case_state,
-    sample_params,
-    verify_case,
-    verify_cases,
-)
+from . import algebra, canonical, entanglement, gram, states, strata, submaximal
+from .algebra import *  # noqa: F401,F403
+from .canonical import *  # noqa: F401,F403
+from .entanglement import *  # noqa: F401,F403
+from .gram import *  # noqa: F401,F403
+from .states import *  # noqa: F401,F403
+from .strata import *  # noqa: F401,F403
+from .submaximal import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # algebra
-    "su_generators",
-    "structure_constants",
-    "commutator",
-    "partial_transpose",
-    # states
-    "DensityMatrix",
-    "PureState",
-    "BlochForm",
-    "validate_density",
-    "pure_density",
-    "maximally_mixed",
-    "compose_bloch",
-    "decompose_bloch",
-    "schmidt_vector",
-    "werner_state",
-    "werner_matrices",
-    "swap_sides",
-    "random_state",
-    "haar_unitary",
-    "random_su2",
-    "random_local_unitary",
-    "apply_local_unitary",
-    "state_to_json",
-    "state_from_json",
-    "bloch_to_json",
-    "bloch_from_json",
-    # gram
-    "RANK_TOL",
-    "GramReport",
-    "GramSplit2x2",
-    "gram_direct",
-    "gram_closed_form",
-    "local_orbit_dim",
-    "orbit_dim_oracle",
-    "pure_gram_spectrum",
-    "gram_split_2x2",
-    "b_block_residual",
-    # canonical
-    "omega",
-    "amplitude_matrix",
-    "SchmidtForm",
-    "schmidt_pure",
-    "CanonicalMixedForm",
-    "canonicalize_mixed_2x2",
-    "orbit_sample",
-    "PureStratum",
-    "pure_stratum",
-    # entanglement
-    "concurrence_pure",
-    "concurrence_mixed",
-    "spin_flip",
-    "xi_spectra",
-    "xi_spectrum",
-    "concurrences",
-    "entanglement_of_formation",
-    "PPTResult",
-    "pt_spectra",
-    "ppt_check",
-    "char_coeffs",
-    "purities",
-    "in_maximal_ball",
-    "maximal_ball_check",
-    "cstar",
-    "absolutely_separable",
-    "unit_spectrum",
-    "EntanglementReport",
-    "entanglement_report",
-    # strata
-    "WeylCell",
-    "weyl_cell",
-    "DimsReport",
-    "dims_report",
-    "effective_dim",
-    # submaximal
-    "CASES",
-    "CaseSpec",
-    "CasePredictions",
-    "CaseVerdict",
-    "case_bloch",
-    "case_state",
-    "case_predictions",
-    "sample_params",
-    "verify_case",
-    "verify_cases",
-]
+__all__ = ["__version__"]
+for _module in (algebra, states, gram, canonical, entanglement, strata, submaximal):
+    __all__ += _module.__all__
+del _module

@@ -15,6 +15,8 @@ The spin-flip spectrum, concurrence, partial-transpose spectrum and
 purity are computed by kernels on (..., n, n) stacks (``xi_spectra``,
 ``concurrences``, ``pt_spectra``, ``purities``); the per-state functions
 wrap them, so a stack and a loop over its states run the same arithmetic.
+``concurrences_from_xi`` takes the concurrence from spin-flip spectra
+already computed.
 
 ``char_coeffs`` returns the characteristic polynomial coefficients of a
 canonical 2x2 Bloch form (diagonal G) in closed form; the partially
@@ -36,6 +38,7 @@ __all__ = [
     "spin_flip",
     "xi_spectra",
     "xi_spectrum",
+    "concurrences_from_xi",
     "concurrences",
     "concurrence_mixed",
     "entanglement_of_formation",
@@ -102,12 +105,17 @@ def xi_spectrum(w: DensityMatrix, clamp: float = XI_CLAMP) -> np.ndarray:
     return xi_spectra(_mat_2x2(w), clamp)
 
 
-def concurrences(mats: np.ndarray) -> np.ndarray:
+def concurrences_from_xi(xi: np.ndarray) -> np.ndarray:
     """Concurrence max(0, sqrt(xi_1) - sqrt(xi_2) - sqrt(xi_3) - sqrt(xi_4))
-    of each matrix in a (..., 4, 4) stack."""
-    r = np.sqrt(xi_spectra(mats))
+    of each descending spin-flip spectrum in a (..., 4) stack."""
+    r = np.sqrt(xi)
     c = r[..., 0] - r[..., 1] - r[..., 2] - r[..., 3]
     return np.where(c > 0.0, c, 0.0)
+
+
+def concurrences(mats: np.ndarray) -> np.ndarray:
+    """Concurrence of each matrix in a (..., 4, 4) stack (see concurrences_from_xi)."""
+    return concurrences_from_xi(xi_spectra(mats))
 
 
 def concurrence_mixed(w: DensityMatrix) -> float:

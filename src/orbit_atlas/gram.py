@@ -27,6 +27,7 @@ from .algebra import structure_constants, su_generators
 from .states import BlochForm, DensityMatrix
 
 __all__ = [
+    "RANK_TOL",
     "GramReport",
     "GramSplit2x2",
     "tangent_vectors",

@@ -118,13 +118,17 @@ def _gens(n: int) -> tuple[np.ndarray, ...]:
     return tuple(su_generators(n))
 
 
+def _check_hermitian(mat: np.ndarray) -> None:
+    if np.max(np.abs(mat - mat.conj().T)) > 1e-8:
+        raise ValueError("matrix is not Hermitian")
+
+
 def validate_density(w: DensityMatrix, tol: float = PSD_TOL) -> None:
     """Raise ValueError unless w is finite, Hermitian, unit trace, and PSD within tol."""
     mat = w.matrix
     if not np.all(np.isfinite(mat)):
         raise ValueError("matrix has non-finite entries")
-    if np.max(np.abs(mat - mat.conj().T)) > 1e-8:
-        raise ValueError("matrix is not Hermitian")
+    _check_hermitian(mat)
     tr = np.trace(mat).real
     if abs(tr - 1.0) > 1e-8:
         raise ValueError(f"trace is {tr}, expected 1")
@@ -169,11 +173,13 @@ def decompose_bloch(w: DensityMatrix) -> BlochForm:
     Uses the trace orthogonality of the basis:
     a_j = Tr(W (e_j x I)) / (-2 i M), b_alpha = Tr(W (I x f_alpha)) / (-2 i K),
     G_{j alpha} = Tr(W (e_j x f_alpha)) / 4.
+    Raises ValueError if W is not Hermitian, whose Bloch form would be complex.
     """
     k, m = w.k, w.m
     ek, fa = _gens(k), _gens(m)
     ik, im = np.eye(k, dtype=complex), np.eye(m, dtype=complex)
     mat = w.matrix
+    _check_hermitian(mat)
     a = np.array([(np.trace(mat @ np.kron(e, im)) / (-2j * m)).real for e in ek])
     b = np.array([(np.trace(mat @ np.kron(ik, f)) / (-2j * k)).real for f in fa])
     g = np.array(

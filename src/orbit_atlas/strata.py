@@ -37,6 +37,8 @@ def weyl_cell(spectrum, tol: float = 1e-9) -> WeylCell:
     r = np.asarray(spectrum, dtype=float).reshape(-1)
     if r.size < 2:
         raise ValueError("spectrum needs at least two eigenvalues")
+    if not np.all(np.isfinite(r)):
+        raise ValueError(f"spectrum must be finite, got {r}")
     if np.any(r < -1e-8):
         raise ValueError(f"spectrum must be nonnegative, got min {r.min()}")
     if abs(r.sum() - 1.0) > 1e-6:

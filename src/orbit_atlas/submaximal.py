@@ -6,6 +6,10 @@ together with closed-form reference predictions for the Gram spectrum, the
 state and partial-transpose spectra, the spin-flip spectrum, the
 concurrence, and a separability claim.
 
+A case is one :class:`CaseSpec` row of ``CASES`` holding its predicted
+corank, its Bloch builder, its closed-form predictor and its parameter
+sampler; ``case_bloch``, ``case_predictions`` and ``sample_params`` look it up.
+
 The reference formulas are evaluated verbatim: the verification harness
 compares them against direct numerics and reports residuals, so a formula
 that disagrees shows up as a flagged typo candidate rather than being
@@ -20,14 +24,14 @@ exchanged; they share all orbit dimensions, see
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from .entanglement import concurrence_mixed, ppt_check, xi_spectrum
+from .entanglement import concurrences_from_xi, ppt_check, xi_spectrum
 from .gram import RANK_TOL, gram_direct
-from .states import BlochForm, DensityMatrix, compose_bloch
+from .states import BlochForm, DensityMatrix, _rng, compose_bloch
 
 __all__ = [
     "CaseSpec",
@@ -44,72 +48,7 @@ __all__ = [
 
 _QUANTITIES = ("gram_eig", "w_eig", "pt_eig", "xi", "concurrence")
 
-
-@dataclass(frozen=True)
-class CaseSpec:
-    """One catalog entry: constraint pattern and predicted Gram corank."""
-
-    case_id: int
-    corank: int
-    description: str
-    param_names: tuple[str, ...]
-
-
-CASES: dict[int, CaseSpec] = {
-    1: CaseSpec(1, 6, "maximally mixed: G = 0, a = b = 0", ()),
-    2: CaseSpec(2, 4, "one-sided polarization: G = 0, b = 0, a free", ("a",)),
-    3: CaseSpec(3, 3, "isotropic correlations: G = mu I, a = b = 0", ("mu",)),
-    4: CaseSpec(4, 2, "uncorrelated polarizations: G = 0, a and b free", ("a", "b")),
-    5: CaseSpec(5, 2, "single-axis family: G = diag(mu,0,0), a, b along axis 1", ("mu", "a", "b")),
-    6: CaseSpec(6, 1, "single-axis G and a, free b: G = diag(mu,0,0), a = (a,0,0)", ("mu", "a", "b")),
-    7: CaseSpec(7, 1, "isotropic G with aligned polarizations: G = mu I, b = xi a", ("mu", "xi", "a")),
-    8: CaseSpec(8, 1, "axial G = diag(mu1, mu2, mu2), a, b along axis 1", ("mu1", "mu2", "a", "b")),
-    9: CaseSpec(9, 1, "planar G = diag(mu1, mu1, mu2), a, b along axis 3", ("mu1", "mu2", "a", "b")),
-}
-
-
-def _vec(value) -> np.ndarray:
-    v = np.asarray(value, dtype=float).reshape(-1)
-    if v.shape != (3,):
-        raise ValueError(f"expected a 3-vector parameter, got shape {v.shape}")
-    return v
-
-
-def case_bloch(case_id: int, params: dict) -> BlochForm:
-    """Canonical Bloch form of a catalog point."""
-    zero = np.zeros(3)
-    if case_id == 1:
-        return BlochForm(2, 2, zero, zero, np.zeros((3, 3)))
-    if case_id == 2:
-        return BlochForm(2, 2, _vec(params["a"]), zero, np.zeros((3, 3)))
-    if case_id == 3:
-        return BlochForm(2, 2, zero, zero, float(params["mu"]) * np.eye(3))
-    if case_id == 4:
-        return BlochForm(2, 2, _vec(params["a"]), _vec(params["b"]), np.zeros((3, 3)))
-    if case_id == 5:
-        mu, a, b = float(params["mu"]), float(params["a"]), float(params["b"])
-        return BlochForm(2, 2, [a, 0, 0], [b, 0, 0], np.diag([mu, 0.0, 0.0]))
-    if case_id == 6:
-        mu, a = float(params["mu"]), float(params["a"])
-        return BlochForm(2, 2, [a, 0, 0], _vec(params["b"]), np.diag([mu, 0.0, 0.0]))
-    if case_id == 7:
-        mu, xi = float(params["mu"]), float(params["xi"])
-        a = _vec(params["a"])
-        return BlochForm(2, 2, a, xi * a, mu * np.eye(3))
-    if case_id == 8:
-        mu1, mu2 = float(params["mu1"]), float(params["mu2"])
-        a, b = float(params["a"]), float(params["b"])
-        return BlochForm(2, 2, [a, 0, 0], [b, 0, 0], np.diag([mu1, mu2, mu2]))
-    if case_id == 9:
-        mu1, mu2 = float(params["mu1"]), float(params["mu2"])
-        a, b = float(params["a"]), float(params["b"])
-        return BlochForm(2, 2, [0, 0, a], [0, 0, b], np.diag([mu1, mu1, mu2]))
-    raise ValueError(f"unknown case id {case_id}; catalog holds 1..9")
-
-
-def case_state(case_id: int, params: dict) -> DensityMatrix:
-    """Density matrix of a catalog point."""
-    return compose_bloch(case_bloch(case_id, params))
+c = np.array  # brevity for the per-case formulas below
 
 
 @dataclass(frozen=True)
@@ -129,185 +68,31 @@ class CasePredictions:
     separability: str | None
 
 
-def case_predictions(case_id: int, params: dict) -> CasePredictions:
-    """Evaluate the catalog's closed-form predictions at a parameter point."""
-    c = np.array  # brevity for the per-case tables below
-    if case_id == 1:
-        return CasePredictions(
-            gram_eigs=np.zeros(6, dtype=complex),
-            w_eigs=np.full(4, 0.25, dtype=complex),
-            pt_eigs=np.full(4, 0.25, dtype=complex),
-            xi=np.full(4, 1.0 / 16.0, dtype=complex),
-            concurrence=0.0,
-            separability="separable",
-        )
-    if case_id == 2:
-        na = float(np.linalg.norm(_vec(params["a"])))
-        rho = c([0.25 + na, 0.25 + na, 0.25 - na, 0.25 - na], dtype=complex)
-        return CasePredictions(
-            gram_eigs=c([8 * na**2, 8 * na**2, 0, 0, 0, 0], dtype=complex),
-            w_eigs=rho,
-            pt_eigs=rho.copy(),
-            xi=np.full(4, 1.0 / 16.0 - na**2, dtype=complex),
-            concurrence=0.0,
-            separability="separable",
-        )
-    if case_id == 3:
-        mu = float(params["mu"])
-        return CasePredictions(
-            gram_eigs=c([32 * mu**2] * 3 + [0] * 3, dtype=complex),
-            w_eigs=c([0.25 - mu] * 3 + [0.25 + 3 * mu], dtype=complex),
-            pt_eigs=c([0.25 + mu] * 3 + [0.25 - 3 * mu], dtype=complex),
-            xi=c([(12 * mu + 1) ** 2 / 16] + [(1 - 4 * mu) ** 2 / 16] * 3, dtype=complex),
-            concurrence=max(0.0, 6 * mu - 0.5),
-            separability="separable" if abs(mu) <= 1.0 / 12.0 + 1e-12 else "entangled",
-        )
-    if case_id == 4:
-        na = float(np.linalg.norm(_vec(params["a"])))
-        nb = float(np.linalg.norm(_vec(params["b"])))
-        rho = c(
-            [0.25 + na + nb, 0.25 - na - nb, 0.25 + abs(na - nb), 0.25 - abs(na - nb)],
-            dtype=complex,
-        )
-        return CasePredictions(
-            gram_eigs=c([8 * na**2] * 2 + [8 * nb**2] * 2 + [0, 0], dtype=complex),
-            w_eigs=rho,
-            pt_eigs=rho.copy(),
-            # stated with plus signs; direct numerics give minus, flagged by the harness
-            xi=c([1 / 16 + (na + nb) ** 2] * 2 + [1 / 16 + (na - nb) ** 2] * 2, dtype=complex),
-            concurrence=0.0,
-            separability="separable",
-        )
-    if case_id == 5:
-        mu, a, b = float(params["mu"]), float(params["a"]), float(params["b"])
-        rho = c(
-            [0.25 + a + b - mu, 0.25 - a + b + mu, 0.25 - a - b - mu, 0.25 + a - b + mu],
-            dtype=complex,
-        )
-        return CasePredictions(
-            gram_eigs=c(
-                [8 * (a**2 + mu**2)] * 2 + [8 * (b**2 + mu**2)] * 2 + [0, 0], dtype=complex
-            ),
-            w_eigs=rho,
-            pt_eigs=rho.copy(),
-            xi=c(
-                [(0.25 + mu) ** 2 - (a - b) ** 2] * 2
-                + [(0.25 - mu) ** 2 - (a + b) ** 2] * 2,
-                dtype=complex,
-            ),
-            concurrence=0.0,
-            separability="separable",
-        )
-    if case_id == 6:
-        mu, a = float(params["mu"]), float(params["a"])
-        b = _vec(params["b"])
-        nb2 = float(b @ b)
-        lam_rad = np.sqrt((mu**2 - nb2) ** 2 + 4 * mu**2 * b[0] ** 2)
-        r_minus = np.sqrt(mu**2 + nb2 - 2 * b[0] * mu)
-        r_plus = np.sqrt(mu**2 + nb2 + 2 * b[0] * mu)
-        rho = c(
-            [0.25 + a + r_minus, 0.25 + a - r_minus, 0.25 - a + r_plus, 0.25 - a - r_plus],
-            dtype=complex,
-        )
-        # the radical mixes quadratic and quartic terms as stated (2 mu a b_1)
-        xi_rad = np.emath.sqrt(4 * (a**2 - mu**2) * nb2 + 4 * mu**2 * b[0] ** 2 + 2 * mu * a * b[0])
-        xi_base = 1.0 / 16.0 + mu**2 - a**2 - nb2
-        return CasePredictions(
-            gram_eigs=c(
-                [
-                    4 * (nb2 + mu**2 + lam_rad),
-                    4 * (nb2 + mu**2 - lam_rad),
-                    8 * (nb2 + mu**2),
-                    8 * (a**2 + mu**2),
-                    8 * (a**2 + mu**2),
-                    0,
-                ],
-                dtype=complex,
-            ),
-            w_eigs=rho,
-            pt_eigs=rho.copy(),
-            xi=c([xi_base + xi_rad] * 2 + [xi_base - xi_rad] * 2, dtype=complex),
-            concurrence=0.0,
-            separability="separable",
-        )
-    if case_id == 7:
-        mu, xi_r = float(params["mu"]), float(params["xi"])
-        a = _vec(params["a"])
-        na2 = float(a @ a)
-        na = float(np.sqrt(na2))
-        # inner radical mixes mu^4 with |a|^2 as stated
-        inner = np.emath.sqrt(16 * mu**4 + (xi_r**2 - 1) ** 2 * na2)
-        s_plus = np.emath.sqrt(mu**2 + inner)
-        s_minus = np.emath.sqrt(mu**2 - inner)
-        base = (xi_r**2 - 1) * na2
-        r1 = abs(xi_r + 1) * na
-        r2 = np.sqrt(4 * mu**2 + (xi_r - 1) ** 2 * na2)
-        r1t = abs(xi_r - 1) * na
-        r2t = np.sqrt(4 * mu**2 + (xi_r + 1) ** 2 * na2)
-        # "(mu + 1)" under this radical as stated
-        xrad = np.emath.sqrt(4 * (mu + 1) ** 2 - 16 * (xi_r - 1) ** 2 * na2)
-        xi_head = 1.0 / 16.0 + mu / 2.0 + 5 * mu**2 - (xi_r - 1) ** 2 * na2
-        xi_tail = (0.25 - mu) ** 2 - (xi_r + 1) ** 2 * na2
-        nonsep = (
-            np.sqrt(4 * mu**2 + (xi_r + 1) ** 2 * na2) > 0.25 - mu
-            or 0.25 < abs(xi_r - 1) * na
-        )
-        return CasePredictions(
-            gram_eigs=c(
-                [
-                    4 * (base + s_plus),
-                    4 * (base + s_minus),
-                    4 * (base - s_plus),
-                    4 * (base - s_minus),
-                    32 * mu**2,
-                    0,
-                ],
-                dtype=complex,
-            ),
-            w_eigs=c([0.25 - mu + r1, 0.25 - mu - r1, 0.25 + mu + r2, 0.25 + mu - r2], dtype=complex),
-            pt_eigs=c(
-                [0.25 + mu + r1t, 0.25 + mu - r1t, 0.25 - mu + r2t, 0.25 - mu - r2t],
-                dtype=complex,
-            ),
-            xi=c([xi_head + mu * xrad, xi_head - mu * xrad, xi_tail, xi_tail], dtype=complex),
-            concurrence=None,
-            separability="entangled" if nonsep else None,
-        )
-    if case_id in (8, 9):
-        mu1, mu2 = float(params["mu1"]), float(params["mu2"])
-        a, b = float(params["a"]), float(params["b"])
-        # case 9 is case 8 with the distinct G axis moved to position 3; the
-        # printed formulas exchange the roles of mu1 and mu2 accordingly
-        mu_d, mu_p = (mu1, mu2) if case_id == 8 else (mu2, mu1)
-        rad = np.sqrt(16 * mu1**2 * mu2**2 + (a**2 - b**2) ** 2)
-        base = a**2 + b**2 + 2 * mu1**2 + 2 * mu2**2
-        r34 = np.sqrt(4 * mu_p**2 + (a - b) ** 2)
-        r34t = np.sqrt(4 * mu_p**2 + (a + b) ** 2)
-        xr = np.emath.sqrt((0.25 + mu_d) ** 2 - (a - b) ** 2)
-        pt = c(
-            [0.25 + mu_d - a + b, 0.25 + mu_d + a - b, 0.25 - mu_d + r34t, 0.25 - mu_d - r34t],
-            dtype=complex,
-        )
-        nonsep = np.sqrt(4 * mu_p**2 + (a + b) ** 2) > 0.25 - mu_d or 0.25 < b - a - mu_d
-        return CasePredictions(
-            gram_eigs=c(
-                [4 * (base + rad)] * 2 + [4 * (base - rad)] * 2 + [32 * mu_p**2, 0],
-                dtype=complex,
-            ),
-            w_eigs=c(
-                [0.25 - mu_d + a + b, 0.25 - mu_d - a - b, 0.25 + mu_d + r34, 0.25 + mu_d - r34],
-                dtype=complex,
-            ),
-            pt_eigs=pt,
-            xi=c(
-                [(0.25 - mu_d) ** 2 - (a + b) ** 2] * 2
-                + [(xr + 2 * mu_p) ** 2, (xr - 2 * mu_p) ** 2],
-                dtype=complex,
-            ),
-            concurrence=None,
-            separability="entangled" if nonsep else None,
-        )
-    raise ValueError(f"unknown case id {case_id}; catalog holds 1..9")
+@dataclass(frozen=True)
+class CaseSpec:
+    """One catalog entry: constraint pattern, predicted Gram corank, and the
+    family's Bloch builder, closed-form predictor and parameter sampler.
+
+    ``bloch`` and ``predict`` take the parameters in ``param_names`` order,
+    those in ``vectors`` as 3-vectors and the rest as floats.  ``sample``
+    draws one candidate in that order, or None for a draw it rejects early.
+    """
+
+    case_id: int
+    corank: int
+    description: str
+    param_names: tuple[str, ...]
+    bloch: Callable[..., BlochForm] = field(repr=False)
+    predict: Callable[..., CasePredictions] = field(repr=False)
+    sample: Callable[[np.random.Generator], tuple | None] = field(repr=False)
+    vectors: tuple[str, ...] = ()
+
+
+def _vec(value) -> np.ndarray:
+    v = np.asarray(value, dtype=float).reshape(-1)
+    if v.shape != (3,):
+        raise ValueError(f"expected a 3-vector parameter, got shape {v.shape}")
+    return v
 
 
 def _unit3(rng: np.random.Generator) -> np.ndarray:
@@ -319,6 +104,305 @@ def _signed(rng: np.random.Generator, lo: float, hi: float) -> float:
     return float(rng.uniform(lo, hi) * rng.choice([-1.0, 1.0]))
 
 
+def _predict_1() -> CasePredictions:
+    return CasePredictions(
+        gram_eigs=np.zeros(6, dtype=complex),
+        w_eigs=np.full(4, 0.25, dtype=complex),
+        pt_eigs=np.full(4, 0.25, dtype=complex),
+        xi=np.full(4, 1.0 / 16.0, dtype=complex),
+        concurrence=0.0,
+        separability="separable",
+    )
+
+
+def _predict_2(a) -> CasePredictions:
+    na = float(np.linalg.norm(a))
+    rho = c([0.25 + na, 0.25 + na, 0.25 - na, 0.25 - na], dtype=complex)
+    return CasePredictions(
+        gram_eigs=c([8 * na**2, 8 * na**2, 0, 0, 0, 0], dtype=complex),
+        w_eigs=rho,
+        pt_eigs=rho.copy(),
+        xi=np.full(4, 1.0 / 16.0 - na**2, dtype=complex),
+        concurrence=0.0,
+        separability="separable",
+    )
+
+
+def _predict_3(mu) -> CasePredictions:
+    return CasePredictions(
+        gram_eigs=c([32 * mu**2] * 3 + [0] * 3, dtype=complex),
+        w_eigs=c([0.25 - mu] * 3 + [0.25 + 3 * mu], dtype=complex),
+        pt_eigs=c([0.25 + mu] * 3 + [0.25 - 3 * mu], dtype=complex),
+        xi=c([(12 * mu + 1) ** 2 / 16] + [(1 - 4 * mu) ** 2 / 16] * 3, dtype=complex),
+        concurrence=max(0.0, 6 * mu - 0.5),
+        separability="separable" if abs(mu) <= 1.0 / 12.0 + 1e-12 else "entangled",
+    )
+
+
+def _sample_3(rng: np.random.Generator) -> tuple | None:
+    mu = float(rng.uniform(-1.0 / 12.0 + 0.002, 0.245))
+    return None if abs(mu) < 0.02 else (mu,)
+
+
+def _predict_4(a, b) -> CasePredictions:
+    na = float(np.linalg.norm(a))
+    nb = float(np.linalg.norm(b))
+    rho = c(
+        [0.25 + na + nb, 0.25 - na - nb, 0.25 + abs(na - nb), 0.25 - abs(na - nb)],
+        dtype=complex,
+    )
+    return CasePredictions(
+        gram_eigs=c([8 * na**2] * 2 + [8 * nb**2] * 2 + [0, 0], dtype=complex),
+        w_eigs=rho,
+        pt_eigs=rho.copy(),
+        # stated with plus signs; direct numerics give minus, flagged by the harness
+        xi=c([1 / 16 + (na + nb) ** 2] * 2 + [1 / 16 + (na - nb) ** 2] * 2, dtype=complex),
+        concurrence=0.0,
+        separability="separable",
+    )
+
+
+def _predict_5(mu, a, b) -> CasePredictions:
+    rho = c(
+        [0.25 + a + b - mu, 0.25 - a + b + mu, 0.25 - a - b - mu, 0.25 + a - b + mu],
+        dtype=complex,
+    )
+    return CasePredictions(
+        gram_eigs=c(
+            [8 * (a**2 + mu**2)] * 2 + [8 * (b**2 + mu**2)] * 2 + [0, 0], dtype=complex
+        ),
+        w_eigs=rho,
+        pt_eigs=rho.copy(),
+        xi=c(
+            [(0.25 + mu) ** 2 - (a - b) ** 2] * 2
+            + [(0.25 - mu) ** 2 - (a + b) ** 2] * 2,
+            dtype=complex,
+        ),
+        concurrence=0.0,
+        separability="separable",
+    )
+
+
+def _predict_6(mu, a, b) -> CasePredictions:
+    nb2 = float(b @ b)
+    lam_rad = np.sqrt((mu**2 - nb2) ** 2 + 4 * mu**2 * b[0] ** 2)
+    r_minus = np.sqrt(mu**2 + nb2 - 2 * b[0] * mu)
+    r_plus = np.sqrt(mu**2 + nb2 + 2 * b[0] * mu)
+    rho = c(
+        [0.25 + a + r_minus, 0.25 + a - r_minus, 0.25 - a + r_plus, 0.25 - a - r_plus],
+        dtype=complex,
+    )
+    # the radical mixes quadratic and quartic terms as stated (2 mu a b_1)
+    xi_rad = np.emath.sqrt(4 * (a**2 - mu**2) * nb2 + 4 * mu**2 * b[0] ** 2 + 2 * mu * a * b[0])
+    xi_base = 1.0 / 16.0 + mu**2 - a**2 - nb2
+    return CasePredictions(
+        gram_eigs=c(
+            [
+                4 * (nb2 + mu**2 + lam_rad),
+                4 * (nb2 + mu**2 - lam_rad),
+                8 * (nb2 + mu**2),
+                8 * (a**2 + mu**2),
+                8 * (a**2 + mu**2),
+                0,
+            ],
+            dtype=complex,
+        ),
+        w_eigs=rho,
+        pt_eigs=rho.copy(),
+        xi=c([xi_base + xi_rad] * 2 + [xi_base - xi_rad] * 2, dtype=complex),
+        concurrence=0.0,
+        separability="separable",
+    )
+
+
+def _predict_7(mu, xi_r, a) -> CasePredictions:
+    na2 = float(a @ a)
+    na = float(np.sqrt(na2))
+    # inner radical mixes mu^4 with |a|^2 as stated
+    inner = np.emath.sqrt(16 * mu**4 + (xi_r**2 - 1) ** 2 * na2)
+    s_plus = np.emath.sqrt(mu**2 + inner)
+    s_minus = np.emath.sqrt(mu**2 - inner)
+    base = (xi_r**2 - 1) * na2
+    r1 = abs(xi_r + 1) * na
+    r2 = np.sqrt(4 * mu**2 + (xi_r - 1) ** 2 * na2)
+    r1t = abs(xi_r - 1) * na
+    r2t = np.sqrt(4 * mu**2 + (xi_r + 1) ** 2 * na2)
+    # "(mu + 1)" under this radical as stated
+    xrad = np.emath.sqrt(4 * (mu + 1) ** 2 - 16 * (xi_r - 1) ** 2 * na2)
+    xi_head = 1.0 / 16.0 + mu / 2.0 + 5 * mu**2 - (xi_r - 1) ** 2 * na2
+    xi_tail = (0.25 - mu) ** 2 - (xi_r + 1) ** 2 * na2
+    nonsep = (
+        np.sqrt(4 * mu**2 + (xi_r + 1) ** 2 * na2) > 0.25 - mu
+        or 0.25 < abs(xi_r - 1) * na
+    )
+    return CasePredictions(
+        gram_eigs=c(
+            [
+                4 * (base + s_plus),
+                4 * (base + s_minus),
+                4 * (base - s_plus),
+                4 * (base - s_minus),
+                32 * mu**2,
+                0,
+            ],
+            dtype=complex,
+        ),
+        w_eigs=c([0.25 - mu + r1, 0.25 - mu - r1, 0.25 + mu + r2, 0.25 + mu - r2], dtype=complex),
+        pt_eigs=c(
+            [0.25 + mu + r1t, 0.25 + mu - r1t, 0.25 - mu + r2t, 0.25 - mu - r2t],
+            dtype=complex,
+        ),
+        xi=c([xi_head + mu * xrad, xi_head - mu * xrad, xi_tail, xi_tail], dtype=complex),
+        concurrence=None,
+        separability="entangled" if nonsep else None,
+    )
+
+
+def _predict_axial(mu_d, mu_p, mu1, mu2, a, b) -> CasePredictions:
+    rad = np.sqrt(16 * mu1**2 * mu2**2 + (a**2 - b**2) ** 2)
+    base = a**2 + b**2 + 2 * mu1**2 + 2 * mu2**2
+    r34 = np.sqrt(4 * mu_p**2 + (a - b) ** 2)
+    r34t = np.sqrt(4 * mu_p**2 + (a + b) ** 2)
+    xr = np.emath.sqrt((0.25 + mu_d) ** 2 - (a - b) ** 2)
+    pt = c(
+        [0.25 + mu_d - a + b, 0.25 + mu_d + a - b, 0.25 - mu_d + r34t, 0.25 - mu_d - r34t],
+        dtype=complex,
+    )
+    nonsep = np.sqrt(4 * mu_p**2 + (a + b) ** 2) > 0.25 - mu_d or 0.25 < b - a - mu_d
+    return CasePredictions(
+        gram_eigs=c(
+            [4 * (base + rad)] * 2 + [4 * (base - rad)] * 2 + [32 * mu_p**2, 0], dtype=complex
+        ),
+        w_eigs=c(
+            [0.25 - mu_d + a + b, 0.25 - mu_d - a - b, 0.25 + mu_d + r34, 0.25 + mu_d - r34],
+            dtype=complex,
+        ),
+        pt_eigs=pt,
+        xi=c(
+            [(0.25 - mu_d) ** 2 - (a + b) ** 2] * 2
+            + [(xr + 2 * mu_p) ** 2, (xr - 2 * mu_p) ** 2],
+            dtype=complex,
+        ),
+        concurrence=None,
+        separability="entangled" if nonsep else None,
+    )
+
+
+def _sample_axial(rng: np.random.Generator) -> tuple | None:
+    mu1 = _signed(rng, 0.02, 0.1)
+    mu2 = _signed(rng, 0.02, 0.1)
+    if abs(abs(mu1) - abs(mu2)) < 0.01:
+        return None
+    return mu1, mu2, float(rng.uniform(0.02, 0.08)), float(rng.uniform(0.02, 0.08))
+
+
+CASES: dict[int, CaseSpec] = {
+    1: CaseSpec(
+        1, 6, "maximally mixed: G = 0, a = b = 0", (),
+        lambda: BlochForm(2, 2, np.zeros(3), np.zeros(3), np.zeros((3, 3))),
+        _predict_1,
+        lambda rng: (),
+    ),
+    2: CaseSpec(
+        2, 4, "one-sided polarization: G = 0, b = 0, a free", ("a",),
+        lambda a: BlochForm(2, 2, a, np.zeros(3), np.zeros((3, 3))),
+        _predict_2,
+        lambda rng: (rng.uniform(0.02, 0.24) * _unit3(rng),),
+        vectors=("a",),
+    ),
+    3: CaseSpec(
+        3, 3, "isotropic correlations: G = mu I, a = b = 0", ("mu",),
+        lambda mu: BlochForm(2, 2, np.zeros(3), np.zeros(3), mu * np.eye(3)),
+        _predict_3,
+        _sample_3,
+    ),
+    4: CaseSpec(
+        4, 2, "uncorrelated polarizations: G = 0, a and b free", ("a", "b"),
+        lambda a, b: BlochForm(2, 2, a, b, np.zeros((3, 3))),
+        _predict_4,
+        lambda rng: (
+            rng.uniform(0.02, 0.11) * _unit3(rng),
+            rng.uniform(0.02, 0.11) * _unit3(rng),
+        ),
+        vectors=("a", "b"),
+    ),
+    5: CaseSpec(
+        5, 2, "single-axis family: G = diag(mu,0,0), a, b along axis 1", ("mu", "a", "b"),
+        lambda mu, a, b: BlochForm(2, 2, [a, 0, 0], [b, 0, 0], np.diag([mu, 0.0, 0.0])),
+        _predict_5,
+        lambda rng: (
+            _signed(rng, 0.02, 0.12),
+            float(rng.uniform(0.02, 0.1)),
+            float(rng.uniform(0.02, 0.1)),
+        ),
+    ),
+    6: CaseSpec(
+        6, 1, "single-axis G and a, free b: G = diag(mu,0,0), a = (a,0,0)", ("mu", "a", "b"),
+        lambda mu, a, b: BlochForm(2, 2, [a, 0, 0], b, np.diag([mu, 0.0, 0.0])),
+        _predict_6,
+        lambda rng: (
+            _signed(rng, 0.02, 0.1),
+            float(rng.uniform(0.02, 0.1)),
+            rng.uniform(0.02, 0.1) * _unit3(rng),
+        ),
+        vectors=("b",),
+    ),
+    7: CaseSpec(
+        7, 1, "isotropic G with aligned polarizations: G = mu I, b = xi a", ("mu", "xi", "a"),
+        lambda mu, xi, a: BlochForm(2, 2, a, xi * a, mu * np.eye(3)),
+        _predict_7,
+        lambda rng: (
+            _signed(rng, 0.02, 0.06),
+            float(rng.uniform(-1.8, 1.8)),
+            rng.uniform(0.02, 0.08) * _unit3(rng),
+        ),
+        vectors=("a",),
+    ),
+    # case 9 is case 8 with the distinct G axis moved to position 3; the
+    # printed formulas exchange the roles of mu1 and mu2 accordingly
+    8: CaseSpec(
+        8, 1, "axial G = diag(mu1, mu2, mu2), a, b along axis 1", ("mu1", "mu2", "a", "b"),
+        lambda mu1, mu2, a, b: BlochForm(2, 2, [a, 0, 0], [b, 0, 0], np.diag([mu1, mu2, mu2])),
+        lambda mu1, mu2, a, b: _predict_axial(mu1, mu2, mu1, mu2, a, b),
+        _sample_axial,
+    ),
+    9: CaseSpec(
+        9, 1, "planar G = diag(mu1, mu1, mu2), a, b along axis 3", ("mu1", "mu2", "a", "b"),
+        lambda mu1, mu2, a, b: BlochForm(2, 2, [0, 0, a], [0, 0, b], np.diag([mu1, mu1, mu2])),
+        lambda mu1, mu2, a, b: _predict_axial(mu2, mu1, mu1, mu2, a, b),
+        _sample_axial,
+    ),
+}
+
+
+def _spec(case_id: int) -> CaseSpec:
+    spec = CASES.get(case_id)
+    if spec is None:
+        raise ValueError(f"unknown case id {case_id}; catalog holds 1..9")
+    return spec
+
+
+def _args(spec: CaseSpec, params: dict) -> list:
+    return [_vec(params[n]) if n in spec.vectors else float(params[n]) for n in spec.param_names]
+
+
+def case_bloch(case_id: int, params: dict) -> BlochForm:
+    """Canonical Bloch form of a catalog point."""
+    spec = _spec(case_id)
+    return spec.bloch(*_args(spec, params))
+
+
+def case_state(case_id: int, params: dict) -> DensityMatrix:
+    """Density matrix of a catalog point."""
+    return compose_bloch(case_bloch(case_id, params))
+
+
+def case_predictions(case_id: int, params: dict) -> CasePredictions:
+    """Evaluate the catalog's closed-form predictions at a parameter point."""
+    spec = _spec(case_id)
+    return spec.predict(*_args(spec, params))
+
+
 def sample_params(case_id: int, n: int, seed=None) -> list[dict]:
     """Draw n parameter points from the case's PSD domain.
 
@@ -326,60 +410,19 @@ def sample_params(case_id: int, n: int, seed=None) -> list[dict]:
     generic stratum of its family; candidate draws outside the positivity
     domain are rejected against the exact spectrum.
     """
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    spec = _spec(case_id)
+    rng = _rng(seed)
     out: list[dict] = []
     attempts = 0
     while len(out) < n:
         attempts += 1
         if attempts > 200 * max(n, 1):
             raise RuntimeError(f"case {case_id}: positivity rejection is not converging")
-        if case_id == 1:
-            params: dict = {}
-        elif case_id == 2:
-            params = {"a": rng.uniform(0.02, 0.24) * _unit3(rng)}
-        elif case_id == 3:
-            mu = float(rng.uniform(-1.0 / 12.0 + 0.002, 0.245))
-            if abs(mu) < 0.02:
-                continue
-            params = {"mu": mu}
-        elif case_id == 4:
-            params = {
-                "a": rng.uniform(0.02, 0.11) * _unit3(rng),
-                "b": rng.uniform(0.02, 0.11) * _unit3(rng),
-            }
-        elif case_id == 5:
-            params = {
-                "mu": _signed(rng, 0.02, 0.12),
-                "a": float(rng.uniform(0.02, 0.1)),
-                "b": float(rng.uniform(0.02, 0.1)),
-            }
-        elif case_id == 6:
-            params = {
-                "mu": _signed(rng, 0.02, 0.1),
-                "a": float(rng.uniform(0.02, 0.1)),
-                "b": rng.uniform(0.02, 0.1) * _unit3(rng),
-            }
-        elif case_id == 7:
-            params = {
-                "mu": _signed(rng, 0.02, 0.06),
-                "xi": float(rng.uniform(-1.8, 1.8)),
-                "a": rng.uniform(0.02, 0.08) * _unit3(rng),
-            }
-        elif case_id in (8, 9):
-            mu1 = _signed(rng, 0.02, 0.1)
-            mu2 = _signed(rng, 0.02, 0.1)
-            if abs(abs(mu1) - abs(mu2)) < 0.01:
-                continue
-            params = {
-                "mu1": mu1,
-                "mu2": mu2,
-                "a": float(rng.uniform(0.02, 0.08)),
-                "b": float(rng.uniform(0.02, 0.08)),
-            }
-        else:
-            raise ValueError(f"unknown case id {case_id}; catalog holds 1..9")
-        w = case_state(case_id, params)
-        if np.linalg.eigvalsh(w.matrix).min() >= -1e-12:
+        draw = spec.sample(rng)
+        if draw is None:
+            continue
+        params = dict(zip(spec.param_names, draw))
+        if np.linalg.eigvalsh(case_state(case_id, params).matrix).min() >= -1e-12:
             out.append(params)
     return out
 
@@ -429,11 +472,10 @@ def verify_case(case_id: int, params: dict, rank_tol: float = RANK_TOL) -> CaseV
     claim is checked against the partial-transpose verdict (conclusive for
     2x2); points where the catalog makes no claim count as matching.
     """
-    spec = CASES[case_id] if case_id in CASES else None
-    if spec is None:
-        raise ValueError(f"unknown case id {case_id}; catalog holds 1..9")
-    w = case_state(case_id, params)
-    pred = case_predictions(case_id, params)
+    spec = _spec(case_id)
+    args = _args(spec, params)
+    w = compose_bloch(spec.bloch(*args))
+    pred = spec.predict(*args)
     report = gram_direct(w, rank_tol)
     w_eigs = np.linalg.eigvalsh(w.matrix)
     ppt = ppt_check(w)
@@ -441,7 +483,7 @@ def verify_case(case_id: int, params: dict, rank_tol: float = RANK_TOL) -> CaseV
     if pred.concurrence is None:
         conc_res = None
     else:
-        conc_res = float(abs(concurrence_mixed(w) - pred.concurrence))
+        conc_res = float(abs(concurrences_from_xi(xi_actual) - pred.concurrence))
     if pred.separability is None:
         sep_match = True
     else:
@@ -479,15 +521,14 @@ def verify_cases(
 
     Per case: every sampled point's residual vector and match flags, the
     maximal residual per quantity, and the list of quantities whose maximal
-    residual exceeds tol (the typo candidates).
+    residual exceeds tol (the typo candidates).  Every case id is checked
+    before any point is sampled.
     """
-    if case_ids is None:
-        case_ids = sorted(CASES)
+    specs = [_spec(cid) for cid in (sorted(CASES) if case_ids is None else case_ids)]
     rng = np.random.default_rng(seed)
     report: dict = {"seed": seed, "samples": samples, "tol": tol, "cases": {}, "all_match": True}
-    for cid in case_ids:
-        if cid not in CASES:
-            raise ValueError(f"unknown case id {cid}; catalog holds 1..9")
+    for spec in specs:
+        cid = spec.case_id
         points = []
         max_res: dict[str, float] = {q: 0.0 for q in _QUANTITIES}
         flags_ok = True
@@ -509,8 +550,8 @@ def verify_cases(
         candidates = sorted(q for q, r in max_res.items() if r > tol)
         case_ok = not candidates and flags_ok
         report["cases"][str(cid)] = {
-            "description": CASES[cid].description,
-            "predicted_corank": CASES[cid].corank,
+            "description": spec.description,
+            "predicted_corank": spec.corank,
             "points": points,
             "max_residuals": {k: _jsonable(v) for k, v in max_res.items()},
             "typo_candidates": candidates,

@@ -11,6 +11,7 @@ from orbit_atlas import (
     concurrence_mixed,
     concurrence_pure,
     concurrences,
+    concurrences_from_xi,
     cstar,
     decompose_bloch,
     entanglement_of_formation,
@@ -251,6 +252,11 @@ def test_stacked_kernels_equal_per_state_loop(rank):
     np.testing.assert_array_equal(
         in_maximal_ball(purities(mats), 4), [maximal_ball_check(w) for w in states]
     )
+
+
+def test_concurrence_from_a_computed_spectrum_equals_concurrences():
+    mats = _rank_stack(np.random.default_rng(7), 4, count=12).reshape(3, 4, 4, 4)
+    np.testing.assert_array_equal(concurrences_from_xi(xi_spectra(mats)), concurrences(mats))
 
 
 def test_stacked_kernels_keep_leading_shape_and_psd_check():

@@ -86,6 +86,13 @@ def test_bloch_round_trip_from_coefficients():
         np.testing.assert_allclose(g.g, f.g, atol=1e-12)
 
 
+def test_decompose_bloch_rejects_non_hermitian():
+    mat = maximally_mixed(2, 2).matrix.copy()
+    mat[0, 1] = 1e-3j
+    with pytest.raises(ValueError, match="not Hermitian"):
+        decompose_bloch(DensityMatrix(2, 2, mat))
+
+
 def test_maximally_mixed_has_zero_bloch_data():
     f = decompose_bloch(maximally_mixed(2, 3))
     assert np.max(np.abs(f.a)) <= 1e-14

@@ -62,6 +62,12 @@ def test_weyl_cell_validation():
         weyl_cell([0.5, 0.4, 0.4])
 
 
+@pytest.mark.parametrize("spectrum", [[np.nan, 0.5, 0.5], [np.nan] * 4, [np.inf, 0.0, 0.0]])
+def test_weyl_cell_rejects_non_finite(spectrum):
+    with pytest.raises(ValueError, match="finite"):
+        weyl_cell(spectrum)
+
+
 def test_dims_report_values():
     rep = dims_report(2, 2)
     assert (rep.max_local_dim, rep.generic_global_dim, rep.effective_dim) == (6, 12, 6)

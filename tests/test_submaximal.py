@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from orbit_atlas import entanglement, submaximal
 from orbit_atlas import (
     CASES,
     case_bloch,
@@ -127,13 +128,50 @@ def test_verify_cases_is_seed_reproducible():
     assert a == b
 
 
-def test_unknown_case_rejected():
-    with pytest.raises(ValueError):
-        case_bloch(10, {})
-    with pytest.raises(ValueError):
-        sample_params(0, 1)
-    with pytest.raises(ValueError):
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: case_bloch(10, {}),
+        lambda: case_state(10, {}),
+        lambda: case_predictions(10, {}),
+        lambda: sample_params(0, 1),
+        lambda: verify_case(10, {}),
+        lambda: verify_cases(case_ids=[1, 11], samples=1),
+    ],
+    ids=["case_bloch", "case_state", "case_predictions", "sample_params", "verify_case",
+         "verify_cases"],
+)
+def test_unknown_case_rejected(call):
+    with pytest.raises(ValueError, match="unknown case id"):
+        call()
+
+
+def test_verify_cases_checks_ids_before_sampling(monkeypatch):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled before the case ids were checked")
+
+    monkeypatch.setattr(submaximal, "sample_params", no_sampling)
+    with pytest.raises(ValueError, match="unknown case id 11"):
         verify_cases(case_ids=[1, 11], samples=1)
+
+
+def test_verify_case_solves_each_spin_flip_spectrum_once(monkeypatch):
+    calls = []
+    xi_spectra = entanglement.xi_spectra
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return xi_spectra(*args, **kwargs)
+
+    monkeypatch.setattr(entanglement, "xi_spectra", counting)
+    verify_cases([1, 2], samples=10)
+    assert len(calls) == 20
+
+
+def test_sampled_params_follow_param_names():
+    for cid, spec in CASES.items():
+        for params in sample_params(cid, 3, seed=cid):
+            assert tuple(params) == spec.param_names
 
 
 def test_case_predictions_shapes():
