@@ -5,6 +5,12 @@ by the commutators W_j = [e_j x I, W] and W_alpha = [I x f_alpha, W].
 Their Gram matrix C_{mn} = 1/2 Tr(W_m W_n) is real symmetric and positive
 semidefinite, of size K^2 + M^2 - 2; its rank is the orbit dimension.
 
+``tangent_vectors`` contracts W, as a (K, M, K, M) tensor, with the su(K)
+and su(M) generator stacks into one Hermitian (K^2 + M^2 - 2, KM, KM) stack.
+Tr(W_m W_n) is the dot product of the real rows [Re vec W_m, Im vec W_m], so
+``gram_direct`` is the one product rows @ rows.T / 2 and ``orbit_dim_oracle``
+takes the singular values of the same rows.
+
 ``gram_closed_form`` evaluates C directly from the Bloch coefficients,
 
     A_{ij}      = (2 G_{k alpha} G_{m alpha} + M a_k a_m) c_{ikl} c_{jml}
@@ -24,7 +30,7 @@ from functools import lru_cache
 import numpy as np
 
 from .algebra import structure_constants, su_generators
-from .states import BlochForm, DensityMatrix
+from .states import BlochForm, DensityMatrix, _check_hermitian, _gens
 
 __all__ = [
     "RANK_TOL",
@@ -85,28 +91,32 @@ class GramSplit2x2:
 
 
 @lru_cache(maxsize=16)
-def _gens(n: int) -> tuple[np.ndarray, ...]:
-    return tuple(su_generators(n))
-
-
-@lru_cache(maxsize=16)
 def _consts(n: int) -> np.ndarray:
     return structure_constants(list(su_generators(n)))
 
 
-def tangent_vectors(w: DensityMatrix) -> list[np.ndarray]:
-    """Commutators [e_j x I, W] followed by [I x f_alpha, W]; each is Hermitian."""
+def tangent_vectors(w: DensityMatrix) -> np.ndarray:
+    """Commutators [e_j x I, W] followed by [I x f_alpha, W], as one
+    (K^2 + M^2 - 2, KM, KM) stack, Hermitian when W is; iterating it
+    yields the commutators one by one."""
     k, m = w.k, w.m
-    mat = w.matrix
-    ik, im = np.eye(k, dtype=complex), np.eye(m, dtype=complex)
-    out = []
-    for e in _gens(k):
-        l = np.kron(e, im)
-        out.append(l @ mat - mat @ l)
-    for f in _gens(m):
-        l = np.kron(ik, f)
-        out.append(l @ mat - mat @ l)
-    return out
+    e, f = _gens(k), _gens(m)
+    w4 = w.matrix.reshape(k, m, k, m)
+    t = np.empty((len(e) + len(f), k, m, k, m), dtype=complex)
+    ta, tb = t[: len(e)], t[len(e) :]
+    np.einsum("xip,pajb->xiajb", e, w4, out=ta)
+    ta -= np.einsum("iaqb,xqj->xiajb", w4, e)
+    np.einsum("xac,icjb->xiajb", f, w4, out=tb)
+    tb -= np.einsum("iajd,xdb->xiajb", w4, f)
+    return t.reshape(-1, k * m, k * m)
+
+
+def _tangent_rows(w: DensityMatrix) -> np.ndarray:
+    # real rows [Re vec T_n, Im vec T_n]: their dot product is Tr(T_m T_n)
+    # only when the commutators, and so W, are Hermitian
+    _check_hermitian(w.matrix)
+    t = tangent_vectors(w).reshape(w.k**2 + w.m**2 - 2, -1)
+    return np.concatenate([t.real, t.imag], axis=1)
 
 
 def _spectral_rank(spectrum: np.ndarray, tol: float) -> int:
@@ -123,16 +133,9 @@ def _report(k: int, m: int, c: np.ndarray, tol: float) -> GramReport:
 
 
 def gram_direct(w: DensityMatrix, tol: float = RANK_TOL) -> GramReport:
-    """Gram matrix C_{mn} = 1/2 Tr(W_m W_n) from explicit commutators."""
-    t = tangent_vectors(w)
-    n = len(t)
-    c = np.empty((n, n))
-    for i in range(n):
-        for j in range(i, n):
-            val = 0.5 * np.trace(t[i] @ t[j]).real
-            c[i, j] = val
-            c[j, i] = val
-    return _report(w.k, w.m, c, tol)
+    """Gram matrix C_{mn} = 1/2 Tr(W_m W_n) from explicit commutators of a Hermitian W."""
+    rows = _tangent_rows(w)
+    return _report(w.k, w.m, 0.5 * rows @ rows.T, tol)
 
 
 def gram_closed_form(f: BlochForm, tol: float = RANK_TOL) -> GramReport:
@@ -160,9 +163,7 @@ def orbit_dim_oracle(w: DensityMatrix, tol: float = RANK_TOL) -> int:
     """Orbit dimension from an independent route: rank of the stacked
     real/imaginary parts of the vectorized tangent vectors, via singular
     values with the same relative threshold applied to their squares."""
-    t = tangent_vectors(w)
-    rows = np.array([np.concatenate([v.real.ravel(), v.imag.ravel()]) for v in t])
-    s2 = np.linalg.svd(rows, compute_uv=False) ** 2
+    s2 = np.linalg.svd(_tangent_rows(w), compute_uv=False) ** 2
     return _spectral_rank(s2, tol)
 
 
@@ -172,11 +173,6 @@ def pure_gram_spectrum(c: float) -> np.ndarray:
     if not -1e-12 <= c <= 1.0 + 1e-12:
         raise ValueError(f"concurrence must lie in [0, 1], got {c}")
     return np.sort(np.array([0.0, 2.0 * c * c, 1 + c, 1 + c, 1 - c, 1 - c]))
-
-
-def _corank(values: np.ndarray, tol: float) -> int:
-    top = max(float(np.max(np.abs(values), initial=0.0)), 1.0)
-    return int(np.sum(np.abs(values) <= tol * top))
 
 
 def gram_split_2x2(f: BlochForm, tol: float = RANK_TOL) -> GramSplit2x2:
@@ -209,8 +205,8 @@ def gram_split_2x2(f: BlochForm, tol: float = RANK_TOL) -> GramSplit2x2:
         c_g=c_g,
         c_ab=c_ab,
         rho_eigs=rho,
-        corank_cg=_corank(rho, tol),
-        corank_cab=_corank(nu, tol),
+        corank_cg=len(rho) - _spectral_rank(np.abs(rho), tol),
+        corank_cab=len(nu) - _spectral_rank(np.abs(nu), tol),
     )
 
 

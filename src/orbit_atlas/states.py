@@ -114,8 +114,11 @@ class BlochForm:
 
 
 @lru_cache(maxsize=16)
-def _gens(n: int) -> tuple[np.ndarray, ...]:
-    return tuple(su_generators(n))
+def _gens(n: int) -> np.ndarray:
+    """The su(n) generators as one read-only (n^2 - 1, n, n) stack."""
+    stack = np.array(su_generators(n))
+    stack.flags.writeable = False
+    return stack
 
 
 def _check_hermitian(mat: np.ndarray) -> None:
@@ -150,21 +153,12 @@ def maximally_mixed(k: int, m: int) -> DensityMatrix:
 def compose_bloch(f: BlochForm) -> DensityMatrix:
     """Build the density matrix of a Bloch form."""
     k, m = f.k, f.m
-    ek, fa = _gens(k), _gens(m)
-    ik, im = np.eye(k, dtype=complex), np.eye(m, dtype=complex)
-    w = np.eye(k * m, dtype=complex) / (k * m)
-    for j, aj in enumerate(f.a):
-        if aj != 0.0:
-            w += 1j * aj * np.kron(ek[j], im)
-    for al, bal in enumerate(f.b):
-        if bal != 0.0:
-            w += 1j * bal * np.kron(ik, fa[al])
-    for j in range(len(ek)):
-        for al in range(len(fa)):
-            gj = f.g[j, al]
-            if gj != 0.0:
-                w += gj * np.kron(ek[j], fa[al])
-    return DensityMatrix(k, m, w)
+    e, fa = _gens(k), _gens(m)
+    left = np.eye(k) / (k * m) + 1j * np.tensordot(f.a, e, 1)
+    w = np.einsum("xij,xab->iajb", e, np.tensordot(f.g, fa, 1))
+    w += np.einsum("ij,ab->iajb", left, np.eye(m))
+    w += np.einsum("ij,ab->iajb", np.eye(k), 1j * np.tensordot(f.b, fa, 1))
+    return DensityMatrix(k, m, w.reshape(k * m, k * m))
 
 
 def decompose_bloch(w: DensityMatrix) -> BlochForm:
@@ -176,15 +170,14 @@ def decompose_bloch(w: DensityMatrix) -> BlochForm:
     Raises ValueError if W is not Hermitian, whose Bloch form would be complex.
     """
     k, m = w.k, w.m
-    ek, fa = _gens(k), _gens(m)
-    ik, im = np.eye(k, dtype=complex), np.eye(m, dtype=complex)
-    mat = w.matrix
-    _check_hermitian(mat)
-    a = np.array([(np.trace(mat @ np.kron(e, im)) / (-2j * m)).real for e in ek])
-    b = np.array([(np.trace(mat @ np.kron(ik, f)) / (-2j * k)).real for f in fa])
-    g = np.array(
-        [[(np.trace(mat @ np.kron(e, f)) / 4.0).real for f in fa] for e in ek]
-    )
+    e, fa = _gens(k), _gens(m)
+    _check_hermitian(w.matrix)
+    w4 = w.matrix.reshape(k, m, k, m)
+    # Tr(W (e_j x X)) = Tr(P_j X) with P_j = sum_i,l e_j[l, i] W[i, :, l, :]
+    p = np.einsum("xli,ialb->xab", e, w4)
+    a = (np.einsum("xaa->x", p) / (-2j * m)).real
+    b = (np.einsum("iaib,yba->y", w4, fa) / (-2j * k)).real
+    g = (np.einsum("xab,yba->xy", p, fa) / 4.0).real
     return BlochForm(k, m, a, b, g)
 
 

@@ -410,21 +410,25 @@ def sample_params(case_id: int, n: int, seed=None) -> list[dict]:
     generic stratum of its family; candidate draws outside the positivity
     domain are rejected against the exact spectrum.
     """
-    spec = _spec(case_id)
-    rng = _rng(seed)
-    out: list[dict] = []
-    attempts = 0
-    while len(out) < n:
+    return [params for params, _, _ in _points(_spec(case_id), n, _rng(seed))]
+
+
+def _points(spec: CaseSpec, n: int, rng: np.random.Generator):
+    """Yield (params, args, state) per accepted draw; each draw is composed once."""
+    accepted = attempts = 0
+    while accepted < n:
         attempts += 1
         if attempts > 200 * max(n, 1):
-            raise RuntimeError(f"case {case_id}: positivity rejection is not converging")
+            raise RuntimeError(f"case {spec.case_id}: positivity rejection is not converging")
         draw = spec.sample(rng)
         if draw is None:
             continue
         params = dict(zip(spec.param_names, draw))
-        if np.linalg.eigvalsh(case_state(case_id, params).matrix).min() >= -1e-12:
-            out.append(params)
-    return out
+        args = _args(spec, params)
+        w = compose_bloch(spec.bloch(*args))
+        if np.linalg.eigvalsh(w.matrix).min() >= -1e-12:
+            accepted += 1
+            yield params, args, w
 
 
 @dataclass(frozen=True)
@@ -474,7 +478,10 @@ def verify_case(case_id: int, params: dict, rank_tol: float = RANK_TOL) -> CaseV
     """
     spec = _spec(case_id)
     args = _args(spec, params)
-    w = compose_bloch(spec.bloch(*args))
+    return _verify(spec, params, args, compose_bloch(spec.bloch(*args)), rank_tol)
+
+
+def _verify(spec: CaseSpec, params: dict, args: list, w: DensityMatrix, rank_tol: float) -> CaseVerdict:
     pred = spec.predict(*args)
     report = gram_direct(w, rank_tol)
     w_eigs = np.linalg.eigvalsh(w.matrix)
@@ -489,7 +496,7 @@ def verify_case(case_id: int, params: dict, rank_tol: float = RANK_TOL) -> CaseV
     else:
         sep_match = ppt.verdict == pred.separability
     return CaseVerdict(
-        case_id=case_id,
+        case_id=spec.case_id,
         params=params,
         gram_eig_residual=_multiset_residual(pred.gram_eigs, report.spectrum),
         w_eig_residual=_multiset_residual(pred.w_eigs, w_eigs),
@@ -521,10 +528,12 @@ def verify_cases(
 
     Per case: every sampled point's residual vector and match flags, the
     maximal residual per quantity, and the list of quantities whose maximal
-    residual exceeds tol (the typo candidates).  Every case id is checked
-    before any point is sampled.
+    residual exceeds tol (the typo candidates).  Every case id is checked,
+    and repeated ids are rejected, before any point is sampled.
     """
     specs = [_spec(cid) for cid in (sorted(CASES) if case_ids is None else case_ids)]
+    if len({spec.case_id for spec in specs}) < len(specs):
+        raise ValueError(f"repeated case id in {[spec.case_id for spec in specs]}")
     rng = np.random.default_rng(seed)
     report: dict = {"seed": seed, "samples": samples, "tol": tol, "cases": {}, "all_match": True}
     for spec in specs:
@@ -532,8 +541,8 @@ def verify_cases(
         points = []
         max_res: dict[str, float] = {q: 0.0 for q in _QUANTITIES}
         flags_ok = True
-        for params in sample_params(cid, samples, rng):
-            v = verify_case(cid, params, rank_tol)
+        for params, args, w in _points(spec, samples, rng):
+            v = _verify(spec, params, args, w, rank_tol)
             res = v.residuals()
             for q in _QUANTITIES:
                 if res[q] is not None:

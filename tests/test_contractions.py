@@ -1,0 +1,115 @@
+"""The generator-stack contractions against the textbook kron/trace loops.
+
+The loops below build every local operator e_j x I, I x f_alpha and
+e_j x f_alpha with its own ``np.kron`` and take one trace per entry; they
+are the reference the contractions in ``gram`` and ``states`` must match.
+Non-square splits are included because a swapped index in the
+(k, m, k, m) reshape cancels out when k = m.
+"""
+
+import numpy as np
+import pytest
+
+from orbit_atlas import (
+    BlochForm,
+    DensityMatrix,
+    compose_bloch,
+    decompose_bloch,
+    gram_direct,
+    orbit_dim_oracle,
+    pure_density,
+    random_state,
+    su_generators,
+    tangent_vectors,
+)
+
+SPLITS = [(2, 2), (2, 3), (3, 2), (3, 4), (4, 5)]
+
+
+def _local_ops(k, m):
+    ik, im = np.eye(k), np.eye(m)
+    return [np.kron(e, im) for e in su_generators(k)] + [np.kron(ik, f) for f in su_generators(m)]
+
+
+def _loop_tangents(w):
+    mat = w.matrix
+    return [op @ mat - mat @ op for op in _local_ops(w.k, w.m)]
+
+
+def _loop_gram(tangents):
+    return np.array([[0.5 * np.trace(x @ y).real for y in tangents] for x in tangents])
+
+
+def _loop_compose(f):
+    k, m = f.k, f.m
+    ek, fa = su_generators(k), su_generators(m)
+    ik, im = np.eye(k), np.eye(m)
+    w = np.eye(k * m, dtype=complex) / (k * m)
+    for aj, e in zip(f.a, ek):
+        w += 1j * aj * np.kron(e, im)
+    for bal, fal in zip(f.b, fa):
+        w += 1j * bal * np.kron(ik, fal)
+    for j, e in enumerate(ek):
+        for al, fal in enumerate(fa):
+            w += f.g[j, al] * np.kron(e, fal)
+    return w
+
+
+def _loop_decompose(w):
+    k, m = w.k, w.m
+    ek, fa = su_generators(k), su_generators(m)
+    ik, im = np.eye(k), np.eye(m)
+    mat = w.matrix
+    a = [(np.trace(mat @ np.kron(e, im)) / (-2j * m)).real for e in ek]
+    b = [(np.trace(mat @ np.kron(ik, f)) / (-2j * k)).real for f in fa]
+    g = [[(np.trace(mat @ np.kron(e, f)) / 4.0).real for f in fa] for e in ek]
+    return np.array(a), np.array(b), np.array(g)
+
+
+def _assert_close(actual, reference, rel=1e-13):
+    actual, reference = np.asarray(actual), np.asarray(reference)
+    assert actual.shape == reference.shape
+    assert np.max(np.abs(actual - reference)) <= rel * np.max(np.abs(reference))
+
+
+@pytest.mark.parametrize("k,m", SPLITS)
+def test_tangent_stack_matches_kron_commutators(k, m):
+    w = random_state("mixed", k, m, seed=10 * k + m)
+    t = tangent_vectors(w)
+    assert t.shape == (k**2 + m**2 - 2, k * m, k * m)
+    assert np.max(np.abs(t - t.conj().transpose(0, 2, 1))) <= 1e-14 * np.max(np.abs(t))
+    _assert_close(t, _loop_tangents(w))
+
+
+@pytest.mark.parametrize("k,m", SPLITS)
+def test_gram_direct_matches_trace_loop(k, m):
+    for kind in ("mixed", "pure"):
+        w = random_state(kind, k, m, seed=20 * k + m)
+        if kind == "pure":
+            w = pure_density(w)
+        rep = gram_direct(w)
+        _assert_close(rep.matrix, _loop_gram(_loop_tangents(w)))
+        assert orbit_dim_oracle(w) == rep.rank
+
+
+def test_commutator_routes_reject_non_hermitian():
+    mat = random_state("mixed", 2, 3, seed=4).matrix
+    mat[0, 1] += 0.1
+    w = DensityMatrix(2, 3, mat)
+    for route in (gram_direct, orbit_dim_oracle):
+        with pytest.raises(ValueError, match="not Hermitian"):
+            route(w)
+
+
+@pytest.mark.parametrize("k,m", SPLITS)
+def test_bloch_contractions_match_kron_loops(k, m):
+    rng = np.random.default_rng(30 * k + m)
+    w = random_state("mixed", k, m, rng)
+    f = decompose_bloch(w)
+    for got, want in zip((f.a, f.b, f.g), _loop_decompose(w)):
+        _assert_close(got, want)
+    # compose is linear in (a, b, G): any real coefficients test the index order
+    g = BlochForm(k, m, rng.standard_normal(k**2 - 1), rng.standard_normal(m**2 - 1),
+                  rng.standard_normal((k**2 - 1, m**2 - 1)))
+    for form in (f, g):
+        _assert_close(compose_bloch(form).matrix, _loop_compose(form))

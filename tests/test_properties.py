@@ -1,0 +1,59 @@
+"""Property tests of the invariances the orbit geometry rests on.
+
+Derandomized, so every run draws the same examples.
+"""
+
+import numpy as np
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from orbit_atlas import (  # noqa: E402
+    apply_local_unitary,
+    compose_bloch,
+    decompose_bloch,
+    gram_direct,
+    pure_density,
+    random_local_unitary,
+    random_state,
+    swap_sides,
+)
+
+PROPERTY = settings(derandomize=True, database=None, max_examples=40, deadline=None)
+
+
+@st.composite
+def states(draw):
+    k = draw(st.integers(2, 4))
+    m = draw(st.integers(2, 4))
+    kind = draw(st.sampled_from(["mixed", "pure"]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    w = random_state(kind, k, m, seed)
+    return pure_density(w) if kind == "pure" else w
+
+
+def _spectra_close(x, y):
+    np.testing.assert_allclose(x, y, rtol=0, atol=1e-12 * max(1.0, np.max(np.abs(y))))
+
+
+@PROPERTY
+@given(states())
+def test_compose_inverts_decompose(w):
+    np.testing.assert_allclose(compose_bloch(decompose_bloch(w)).matrix, w.matrix, rtol=0, atol=1e-12)
+
+
+@PROPERTY
+@given(states(), st.integers(0, 2**32 - 1))
+def test_gram_spectrum_is_local_unitary_invariant(w, seed):
+    moved = apply_local_unitary(w, random_local_unitary(w.k, w.m, seed))
+    before, after = gram_direct(w), gram_direct(moved)
+    _spectra_close(after.spectrum, before.spectrum)
+    assert after.rank == before.rank
+
+
+@PROPERTY
+@given(states())
+def test_gram_spectrum_is_swap_symmetric(w):
+    swapped = compose_bloch(swap_sides(decompose_bloch(w)))
+    _spectra_close(gram_direct(swapped).spectrum, gram_direct(w).spectrum)

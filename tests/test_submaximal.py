@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -146,13 +148,37 @@ def test_unknown_case_rejected(call):
         call()
 
 
-def test_verify_cases_checks_ids_before_sampling(monkeypatch):
+def _forbid_sampling(monkeypatch):
     def no_sampling(*args, **kwargs):
         raise AssertionError("sampled before the case ids were checked")
 
-    monkeypatch.setattr(submaximal, "sample_params", no_sampling)
+    for cid, spec in CASES.items():
+        monkeypatch.setitem(CASES, cid, replace(spec, sample=no_sampling))
+
+
+def test_verify_cases_checks_ids_before_sampling(monkeypatch):
+    _forbid_sampling(monkeypatch)
     with pytest.raises(ValueError, match="unknown case id 11"):
         verify_cases(case_ids=[1, 11], samples=1)
+
+
+def test_verify_cases_rejects_repeated_ids_before_sampling(monkeypatch):
+    _forbid_sampling(monkeypatch)
+    with pytest.raises(ValueError, match="repeated case id"):
+        verify_cases(case_ids=[2, 2], samples=2)
+
+
+def test_verify_cases_composes_each_point_once(monkeypatch):
+    calls = []
+    compose_bloch = submaximal.compose_bloch
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return compose_bloch(*args, **kwargs)
+
+    monkeypatch.setattr(submaximal, "compose_bloch", counting)
+    verify_cases([1, 2], samples=10)
+    assert len(calls) == 20
 
 
 def test_verify_case_solves_each_spin_flip_spectrum_once(monkeypatch):
