@@ -39,6 +39,7 @@ from .entanglement import (
 from .gram import RANK_TOL, gram_direct
 from .canonical import canonicalize_mixed_2x2, pure_stratum
 from .states import (
+    BlochForm,
     DensityMatrix,
     PureState,
     compose_bloch,
@@ -60,6 +61,8 @@ __all__ = ["main"]
 # of the stacked LAPACK kernels, small enough that the block's temporaries
 # stay well below the interpreter's own resident memory.
 WERNER_BLOCK = 256
+
+_RANK_TOL_HELP = "Gram rank tolerance, relative to the largest Gram eigenvalue"
 
 
 class _CliError(Exception):
@@ -132,7 +135,7 @@ def _floats(values) -> list[float]:
     return [float(x) for x in np.asarray(values).reshape(-1)]
 
 
-def _canonical_payload(w: DensityMatrix) -> dict | None:
+def _canonical_payload(w: DensityMatrix, f: BlochForm) -> dict | None:
     if (w.k, w.m) != (2, 2):
         return None
     purity = float(purities(w.matrix))
@@ -146,7 +149,7 @@ def _canonical_payload(w: DensityMatrix) -> dict | None:
             "stratum": stratum.label,
             "orbit_dim": stratum.orbit_dim,
         }
-    form = canonicalize_mixed_2x2(decompose_bloch(w))
+    form = canonicalize_mixed_2x2(f)
     return {
         "type": "mixed",
         "mu": _floats(form.mu),
@@ -183,7 +186,7 @@ def _cmd_analyze(args) -> int:
             "cstar": ent.cstar,
             "absolutely_separable": ent.absolutely_separable,
         },
-        "canonical": _canonical_payload(w),
+        "canonical": _canonical_payload(w, f),
         "effective_dim": cell.global_dim - gram.rank,
     }
     json.dump(report, sys.stdout, indent=2)
@@ -352,7 +355,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="full JSON report for one state file")
     p.add_argument("input", help="JSON state file ('matrix' or Bloch 'g' payload)")
-    p.add_argument("--tol", type=_tolerance, default=RANK_TOL, help="Gram rank tolerance")
+    p.add_argument("--tol", type=_tolerance, default=RANK_TOL, help=_RANK_TOL_HELP)
     p.set_defaults(func=_cmd_analyze)
 
     p = sub.add_parser("werner-scan", help="CSV sweep of the generalized Werner family")
@@ -375,7 +378,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=int, required=True, help="number of samples")
     p.add_argument("--seed", type=int, default=None, help="sampling seed (default ORBIT_ATLAS_SEED or 0)")
     p.add_argument("--ensemble", choices=("mixed", "pure"), default="mixed")
-    p.add_argument("--tol", type=_tolerance, default=RANK_TOL, help="Gram rank tolerance")
+    p.add_argument("--tol", type=_tolerance, default=RANK_TOL, help=_RANK_TOL_HELP)
     p.add_argument("--out", required=True, help="output CSV path")
     p.set_defaults(func=_cmd_random_scan)
 

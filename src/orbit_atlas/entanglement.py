@@ -31,6 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import partial_transpose
+from .canonical import omega
 from .states import BlochForm, DensityMatrix
 
 __all__ = [
@@ -65,8 +66,6 @@ _FLIP = np.kron(_SY, _SY)
 
 def concurrence_pure(w) -> float:
     """Concurrence 2 |v z - x y| of a pure 2x2 state."""
-    from .canonical import omega
-
     return 2.0 * abs(omega(w))
 
 
@@ -290,25 +289,18 @@ class EntanglementReport:
 def entanglement_report(w: DensityMatrix) -> EntanglementReport:
     """Collect the diagnostics available for the given bipartition."""
     ppt = ppt_check(w)
-    ball = maximal_ball_check(w)
+    c = eof = star = verdict = None
     if (w.k, w.m) == (2, 2):
         c = concurrence_mixed(w)
+        eof = entanglement_of_formation(c)
         spec = unit_spectrum(w)
-        return EntanglementReport(
-            concurrence=c,
-            eof=entanglement_of_formation(c),
-            ppt_spectrum=ppt.spectrum,
-            ppt_verdict=ppt.verdict,
-            in_maximal_ball=ball,
-            cstar=cstar(spec),
-            absolutely_separable=absolutely_separable(spec),
-        )
+        star, verdict = cstar(spec), absolutely_separable(spec)
     return EntanglementReport(
-        concurrence=None,
-        eof=None,
+        concurrence=c,
+        eof=eof,
         ppt_spectrum=ppt.spectrum,
         ppt_verdict=ppt.verdict,
-        in_maximal_ball=ball,
-        cstar=None,
-        absolutely_separable=None,
+        in_maximal_ball=maximal_ball_check(w),
+        cstar=star,
+        absolutely_separable=verdict,
     )

@@ -19,7 +19,14 @@ takes the singular values of the same rows.
                      d_{alpha gamma mu} d_{beta delta mu},
 
 with c, d the su(K)/su(M) structure constants; it must agree with the
-commutator route to machine precision.
+commutator route to machine precision.  With flat(x) = x.reshape(len(x), -1)
+and M_A, M_D the bracketed factors, each block is one matrix product:
+A = flat(c) @ flat(M_A @ c).T,  D = flat(d) @ flat(M_D @ d).T,
+B = 2 flat(c) @ flat(G @ d.transpose(0, 2, 1) @ G.T).T.
+
+The rank keeps eigenvalues above tol * lambda_max: C is homogeneous of
+degree 2 in W - I/N, so I/N + s (W - I/N) has one rank for all s > 0.  A
+lambda_max at or below (64 eps)^2 is rounding of the unit-trace W: rank 0.
 """
 
 from __future__ import annotations
@@ -47,6 +54,7 @@ __all__ = [
 ]
 
 RANK_TOL = 1e-9
+_ROUNDING_FLOOR = (64.0 * np.finfo(float).eps) ** 2
 
 
 @dataclass(frozen=True)
@@ -120,10 +128,8 @@ def _tangent_rows(w: DensityMatrix) -> np.ndarray:
 
 
 def _spectral_rank(spectrum: np.ndarray, tol: float) -> int:
-    # relative threshold so the rule is scale-free; the max(., 1) guard keeps
-    # near-zero matrices from promoting noise to rank
-    top = max(float(spectrum.max(initial=0.0)), 1.0)
-    return int(np.sum(spectrum > tol * top))
+    top = float(spectrum.max(initial=0.0))
+    return int(np.sum(spectrum > tol * top)) if top > _ROUNDING_FLOOR else 0
 
 
 def _report(k: int, m: int, c: np.ndarray, tol: float) -> GramReport:
@@ -141,21 +147,19 @@ def gram_direct(w: DensityMatrix, tol: float = RANK_TOL) -> GramReport:
 def gram_closed_form(f: BlochForm, tol: float = RANK_TOL) -> GramReport:
     """Gram matrix evaluated from the Bloch coefficients, no commutators."""
     k, m = f.k, f.m
-    c = _consts(k)
-    d = _consts(m)
+    c, d = _consts(k), _consts(m)
+    rc, rd = c.reshape(len(c), -1), d.reshape(len(d), -1)
     g, a, b = f.g, f.a, f.b
     ma = 2.0 * (g @ g.T) + m * np.outer(a, a)
-    block_a = np.einsum("km,ikl,jml->ij", ma, c, c, optimize=True)
-    block_b = 2.0 * np.einsum("kb,mg,ikm,agb->ia", g, g, c, d, optimize=True)
     md = 2.0 * (g.T @ g) + k * np.outer(b, b)
-    block_d = np.einsum("gd,agu,bdu->ab", md, d, d, optimize=True)
-    top = np.hstack([block_a, block_b])
-    bot = np.hstack([block_b.T, block_d])
-    return _report(k, m, np.vstack([top, bot]), tol)
+    block_a = rc @ (ma @ c).reshape(len(c), -1).T
+    block_b = 2.0 * rc @ (g @ d.transpose(0, 2, 1) @ g.T).reshape(len(d), -1).T
+    block_d = rd @ (md @ d).reshape(len(d), -1).T
+    return _report(k, m, np.block([[block_a, block_b], [block_b.T, block_d]]), tol)
 
 
 def local_orbit_dim(report: GramReport, tol: float = RANK_TOL) -> int:
-    """Rank of the Gram matrix: eigenvalues above tol * max(lambda_max, 1)."""
+    """Rank of the Gram matrix: eigenvalues above tol * lambda_max (0 within rounding)."""
     return _spectral_rank(report.spectrum, tol)
 
 
@@ -218,9 +222,4 @@ def b_block_residual(f: BlochForm) -> float:
         raise ValueError(f"the block identity is defined for 2x2 systems, got ({f.k},{f.m})")
     b = gram_closed_form(f).block_b
     target = -16.0 * np.linalg.det(f.g) * np.eye(3)
-    return float(
-        max(
-            np.max(np.abs(b @ f.g.T - target)),
-            np.max(np.abs(f.g.T @ b - target)),
-        )
-    )
+    return float(max(np.max(np.abs(b @ f.g.T - target)), np.max(np.abs(f.g.T @ b - target))))

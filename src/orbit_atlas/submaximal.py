@@ -410,11 +410,11 @@ def sample_params(case_id: int, n: int, seed=None) -> list[dict]:
     generic stratum of its family; candidate draws outside the positivity
     domain are rejected against the exact spectrum.
     """
-    return [params for params, _, _ in _points(_spec(case_id), n, _rng(seed))]
+    return [params for params, _, _, _ in _points(_spec(case_id), n, _rng(seed))]
 
 
 def _points(spec: CaseSpec, n: int, rng: np.random.Generator):
-    """Yield (params, args, state) per accepted draw; each draw is composed once."""
+    """Yield (params, args, state, spectrum) per accepted draw, each computed once."""
     accepted = attempts = 0
     while accepted < n:
         attempts += 1
@@ -426,9 +426,10 @@ def _points(spec: CaseSpec, n: int, rng: np.random.Generator):
         params = dict(zip(spec.param_names, draw))
         args = _args(spec, params)
         w = compose_bloch(spec.bloch(*args))
-        if np.linalg.eigvalsh(w.matrix).min() >= -1e-12:
+        w_eigs = np.linalg.eigvalsh(w.matrix)
+        if w_eigs.min() >= -1e-12:
             accepted += 1
-            yield params, args, w
+            yield params, args, w, w_eigs
 
 
 @dataclass(frozen=True)
@@ -478,13 +479,15 @@ def verify_case(case_id: int, params: dict, rank_tol: float = RANK_TOL) -> CaseV
     """
     spec = _spec(case_id)
     args = _args(spec, params)
-    return _verify(spec, params, args, compose_bloch(spec.bloch(*args)), rank_tol)
+    w = compose_bloch(spec.bloch(*args))
+    return _verify(spec, params, args, w, np.linalg.eigvalsh(w.matrix), rank_tol)
 
 
-def _verify(spec: CaseSpec, params: dict, args: list, w: DensityMatrix, rank_tol: float) -> CaseVerdict:
+def _verify(
+    spec: CaseSpec, params: dict, args: list, w: DensityMatrix, w_eigs: np.ndarray, rank_tol: float
+) -> CaseVerdict:
     pred = spec.predict(*args)
     report = gram_direct(w, rank_tol)
-    w_eigs = np.linalg.eigvalsh(w.matrix)
     ppt = ppt_check(w)
     xi_actual = xi_spectrum(w)
     if pred.concurrence is None:
@@ -541,8 +544,8 @@ def verify_cases(
         points = []
         max_res: dict[str, float] = {q: 0.0 for q in _QUANTITIES}
         flags_ok = True
-        for params, args, w in _points(spec, samples, rng):
-            v = _verify(spec, params, args, w, rank_tol)
+        for params, args, w, w_eigs in _points(spec, samples, rng):
+            v = _verify(spec, params, args, w, w_eigs, rank_tol)
             res = v.residuals()
             for q in _QUANTITIES:
                 if res[q] is not None:

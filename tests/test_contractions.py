@@ -3,8 +3,9 @@
 The loops below build every local operator e_j x I, I x f_alpha and
 e_j x f_alpha with its own ``np.kron`` and take one trace per entry; they
 are the reference the contractions in ``gram`` and ``states`` must match.
-Non-square splits are included because a swapped index in the
-(k, m, k, m) reshape cancels out when k = m.
+The closed-form Gram blocks are checked against their index formulas
+written as einsums.  Non-square splits are included because a swapped
+index in the (k, m, k, m) reshape cancels out when k = m.
 """
 
 import numpy as np
@@ -15,10 +16,12 @@ from orbit_atlas import (
     DensityMatrix,
     compose_bloch,
     decompose_bloch,
+    gram_closed_form,
     gram_direct,
     orbit_dim_oracle,
     pure_density,
     random_state,
+    structure_constants,
     su_generators,
     tangent_vectors,
 )
@@ -64,6 +67,18 @@ def _loop_decompose(w):
     b = [(np.trace(mat @ np.kron(ik, f)) / (-2j * k)).real for f in fa]
     g = [[(np.trace(mat @ np.kron(e, f)) / 4.0).real for f in fa] for e in ek]
     return np.array(a), np.array(b), np.array(g)
+
+
+def _einsum_closed_form(f):
+    k, m = f.k, f.m
+    c, d = structure_constants(su_generators(k)), structure_constants(su_generators(m))
+    g, a, b = f.g, f.a, f.b
+    ma = 2.0 * (g @ g.T) + m * np.outer(a, a)
+    md = 2.0 * (g.T @ g) + k * np.outer(b, b)
+    block_a = np.einsum("km,ikl,jml->ij", ma, c, c, optimize=True)
+    block_b = 2.0 * np.einsum("kb,mg,ikm,agb->ia", g, g, c, d, optimize=True)
+    block_d = np.einsum("gd,agu,bdu->ab", md, d, d, optimize=True)
+    return np.block([[block_a, block_b], [block_b.T, block_d]])
 
 
 def _assert_close(actual, reference, rel=1e-13):
@@ -113,3 +128,9 @@ def test_bloch_contractions_match_kron_loops(k, m):
                   rng.standard_normal((k**2 - 1, m**2 - 1)))
     for form in (f, g):
         _assert_close(compose_bloch(form).matrix, _loop_compose(form))
+
+
+@pytest.mark.parametrize("k,m", SPLITS + [(5, 5)])
+def test_closed_form_products_match_einsum_formulas(k, m):
+    f = decompose_bloch(random_state("mixed", k, m, seed=40 * k + m))
+    _assert_close(gram_closed_form(f).matrix, _einsum_closed_form(f))

@@ -2,21 +2,27 @@ import numpy as np
 import pytest
 
 from orbit_atlas import (
+    CASES,
     BlochForm,
+    DensityMatrix,
     b_block_residual,
+    case_state,
     compose_bloch,
     concurrence_pure,
     decompose_bloch,
     gram_closed_form,
     gram_direct,
     gram_split_2x2,
+    haar_unitary,
     local_orbit_dim,
     maximally_mixed,
     orbit_dim_oracle,
     pure_density,
     pure_gram_spectrum,
     random_state,
+    sample_params,
     schmidt_vector,
+    werner_state,
 )
 
 
@@ -127,3 +133,45 @@ def test_b_block_identity_at_unit_g():
     f = BlochForm(2, 2, np.zeros(3), np.zeros(3), np.eye(3))
     rep = gram_closed_form(f)
     np.testing.assert_allclose(rep.block_b, -16.0 * np.eye(3), atol=1e-12)
+
+
+def _route_ranks(w):
+    """Rank on the commutator route, the closed form and the SVD oracle."""
+    return gram_direct(w).rank, gram_closed_form(decompose_bloch(w)).rank, orbit_dim_oracle(w)
+
+
+def _scaled(w, s):
+    """I/N + s (W - I/N): the same orbit dimension for every s > 0."""
+    mix = np.eye(w.dim) / w.dim
+    return DensityMatrix(w.k, w.m, mix + s * (w.matrix - mix))
+
+
+def _scale_states():
+    out = []
+    for k, m in [(2, 2), (2, 3), (3, 2), (3, 3), (3, 4), (4, 4)]:
+        out.append((f"mixed-{k}x{m}", random_state("mixed", k, m, seed=40 + 10 * k + m)))
+        out.append((f"pure-{k}x{m}", pure_density(random_state("pure", k, m, seed=70 + 10 * k + m))))
+    for cid in sorted(CASES):
+        out.append((f"case-{cid}", case_state(cid, sample_params(cid, 1, seed=80 + cid)[0])))
+    return out
+
+
+SCALE_STATES = _scale_states()
+
+
+@pytest.mark.parametrize("s", [1.0, 1e-2, 1e-4, 1e-6, 1e-8])
+@pytest.mark.parametrize("w", [w for _, w in SCALE_STATES], ids=[name for name, _ in SCALE_STATES])
+def test_rank_is_scale_free_on_all_routes(w, s):
+    want = gram_direct(w).rank
+    assert _route_ranks(_scaled(w, s)) == (want, want, want)
+
+
+@pytest.mark.parametrize("k,m", [(2, 2), (3, 3), (4, 5)])
+def test_rotated_maximally_mixed_has_rank_zero(k, m):
+    u = haar_unitary(k * m, seed=90 + 10 * k + m)
+    w = DensityMatrix(k, m, u @ (np.eye(k * m) / (k * m)) @ u.conj().T)
+    assert _route_ranks(w) == (0, 0, 0)
+
+
+def test_weak_werner_state_keeps_its_rank():
+    assert _route_ranks(werner_state(1e-5)) == (3, 3, 3)

@@ -11,9 +11,12 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from orbit_atlas import (  # noqa: E402
     apply_local_unitary,
+    DensityMatrix,
     compose_bloch,
     decompose_bloch,
+    gram_closed_form,
     gram_direct,
+    orbit_dim_oracle,
     pure_density,
     random_local_unitary,
     random_state,
@@ -57,3 +60,15 @@ def test_gram_spectrum_is_local_unitary_invariant(w, seed):
 def test_gram_spectrum_is_swap_symmetric(w):
     swapped = compose_bloch(swap_sides(decompose_bloch(w)))
     _spectra_close(gram_direct(swapped).spectrum, gram_direct(w).spectrum)
+
+
+@PROPERTY
+@given(states(), st.floats(-8.0, 0.0))
+def test_rank_is_invariant_under_scaling_toward_maximally_mixed(w, log_s):
+    # W -> I/N + s (W - I/N) scales the Gram matrix by s^2, so no route's rank moves
+    mix = np.eye(w.dim) / w.dim
+    scaled = DensityMatrix(w.k, w.m, mix + 10.0**log_s * (w.matrix - mix))
+    want = gram_direct(w).rank
+    assert gram_direct(scaled).rank == want
+    assert gram_closed_form(decompose_bloch(scaled)).rank == want
+    assert orbit_dim_oracle(scaled) == want

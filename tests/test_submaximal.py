@@ -194,6 +194,21 @@ def test_verify_case_solves_each_spin_flip_spectrum_once(monkeypatch):
     assert len(calls) == 20
 
 
+def test_verify_cases_solves_each_state_spectrum_once(monkeypatch):
+    # per point: the positivity check, the Gram spectrum and the PT spectrum;
+    # case 1 never rejects a draw
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return eigvalsh(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    verify_cases([1], samples=10)
+    assert len(calls) == 30
+
+
 def test_sampled_params_follow_param_names():
     for cid, spec in CASES.items():
         for params in sample_params(cid, 3, seed=cid):
