@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import BlochForm, PureState
+from .states import BlochForm, PureState, _require_2x2
 
 __all__ = [
     "amplitude_matrix",
@@ -33,11 +33,12 @@ __all__ = [
     "pure_stratum",
 ]
 
+_STRATUM_TOL = 1e-8  # concurrence snapped to the separable (0) and maximal (1) strata
+
 
 def _amps4(w) -> np.ndarray:
     if isinstance(w, PureState):
-        if (w.k, w.m) != (2, 2):
-            raise ValueError(f"expected a 2x2 pure state, got ({w.k},{w.m})")
+        _require_2x2(w, "the amplitude matrix")
         return w.amplitudes
     amp = np.asarray(w, dtype=complex).reshape(-1)
     if amp.shape != (4,):
@@ -113,8 +114,7 @@ def canonicalize_mixed_2x2(f: BlochForm) -> CanonicalMixedForm:
     nonpositive ascending (the improper sign is folded into all three
     singular values).
     """
-    if (f.k, f.m) != (2, 2):
-        raise ValueError(f"canonical form is defined for 2x2 systems, got ({f.k},{f.m})")
+    _require_2x2(f, "the canonical form")
     uu, s, vh = np.linalg.svd(f.g)
     o1, o2 = uu.T.copy(), vh.copy()
     d1, d2 = np.linalg.det(o1), np.linalg.det(o2)
@@ -194,14 +194,14 @@ class PureStratum:
     theta: float
 
 
-def pure_stratum(w, tol: float = 1e-8) -> PureStratum:
+def pure_stratum(w) -> PureStratum:
     """Classify a pure 2x2 state by concurrence: separable orbits are
     4-dimensional, generic orbits 5-dimensional, and maximally entangled
     orbits 3-dimensional."""
     c = 2.0 * abs(omega(w))
     theta = float(np.arcsin(min(c, 1.0)))
-    if c <= tol:
+    if c <= _STRATUM_TOL:
         return PureStratum("separable", 4, 0.0)
-    if c >= 1.0 - tol:
+    if c >= 1.0 - _STRATUM_TOL:
         return PureStratum("max_entangled", 3, float(np.pi / 2))
     return PureStratum("generic", 5, theta)

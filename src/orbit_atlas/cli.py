@@ -25,6 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .entanglement import (
+    _check_unit_spectrum,
     absolutely_separable,
     concurrences,
     cstar,
@@ -108,8 +109,9 @@ def _read_json(path: str) -> dict:
     return doc
 
 
-def _load_state(path: str) -> tuple[DensityMatrix, str]:
-    """Read a state file; 'matrix' and Bloch ('g') payloads are accepted."""
+def _load_state(path: str) -> tuple[DensityMatrix, str, np.ndarray]:
+    """Read a state file; 'matrix' and Bloch ('g') payloads are accepted.
+    Returns the state, its payload format and its ascending spectrum."""
     doc = _read_json(path)
     try:
         if "matrix" in doc:
@@ -118,10 +120,10 @@ def _load_state(path: str) -> tuple[DensityMatrix, str]:
             w, fmt = compose_bloch(bloch_from_json(doc)), "bloch"
         else:
             raise ValueError("payload has neither a 'matrix' nor a 'g' key")
-        validate_density(w)
+        spectrum = validate_density(w)
     except ValueError as exc:
         raise _CliError(f"{path}: {exc}") from exc
-    return w, fmt
+    return w, fmt, spectrum
 
 
 def _open_out(path: str):
@@ -160,10 +162,10 @@ def _canonical_payload(w: DensityMatrix, f: BlochForm) -> dict | None:
 
 
 def _cmd_analyze(args) -> int:
-    w, fmt = _load_state(args.input)
+    w, fmt, spectrum = _load_state(args.input)
     f = decompose_bloch(w)
     gram = gram_direct(w, args.tol)
-    cell = weyl_cell(np.linalg.eigvalsh(w.matrix))
+    cell = weyl_cell(spectrum)
     ent = entanglement_report(w)
     report = {
         "k": w.k,
@@ -315,7 +317,7 @@ def _cmd_ball_check(args) -> int:
     if (args.input is None) == (args.spectrum is None):
         raise _CliError("give exactly one of INPUT or --spectrum")
     if args.input is not None:
-        w, _ = _load_state(args.input)
+        w, _, _ = _load_state(args.input)
         n = w.dim
         purity = float(purities(w.matrix))
         spec = unit_spectrum(w)
@@ -327,12 +329,10 @@ def _cmd_ball_check(args) -> int:
         n = spec.size
         if n < 2:
             raise _CliError("--spectrum needs at least 2 eigenvalues")
-        if not np.all(np.isfinite(spec)):
-            raise _CliError("--spectrum entries must be finite")
-        if np.any(spec < -1e-12):
-            raise _CliError("--spectrum entries must be nonnegative")
-        if abs(spec.sum() - 1.0) > 1e-8:
-            raise _CliError(f"--spectrum must sum to 1, got {spec.sum()}")
+        try:
+            _check_unit_spectrum(spec)
+        except ValueError as exc:
+            raise _CliError(f"bad --spectrum: {exc}") from exc
         purity = float(spec @ spec)
     out = {
         "n": int(n),

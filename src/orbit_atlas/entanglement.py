@@ -32,7 +32,7 @@ import numpy as np
 
 from .algebra import partial_transpose
 from .canonical import omega
-from .states import BlochForm, DensityMatrix
+from .states import BlochForm, DensityMatrix, _require_2x2, _require_diagonal_g
 
 __all__ = [
     "concurrence_pure",
@@ -70,8 +70,7 @@ def concurrence_pure(w) -> float:
 
 
 def _mat_2x2(w: DensityMatrix) -> np.ndarray:
-    if (w.k, w.m) != (2, 2):
-        raise ValueError(f"spin-flip invariants are defined for 2x2 systems, got ({w.k},{w.m})")
+    _require_2x2(w, "the spin flip")
     return w.matrix
 
 
@@ -81,27 +80,27 @@ def spin_flip(w: DensityMatrix) -> np.ndarray:
     return mat @ _FLIP @ mat.conj() @ _FLIP
 
 
-def xi_spectra(mats: np.ndarray, clamp: float = XI_CLAMP) -> np.ndarray:
+def xi_spectra(mats: np.ndarray) -> np.ndarray:
     """Spin-flip spectra of a (..., 4, 4) stack of 2x2 density matrices,
     each descending along the last axis.
 
     Computed as squared singular values of sqrt(W) F sqrt(W)* with
     F = sigma_y x sigma_y: these equal the eigenvalues of W Wbar exactly
     but remain fully accurate near zero, where the plain nonsymmetric
-    eigensolve loses half the digits.  Raises if any W is not PSD to clamp.
+    eigensolve loses half the digits.  Raises if any W is not PSD to XI_CLAMP.
     """
     vals, vecs = np.linalg.eigh(mats)
     low = vals[..., 0].min(initial=0.0)
-    if low < -clamp:
+    if low < -XI_CLAMP:
         raise ValueError(f"density matrix has negative eigenvalue {low}")
     root = (vecs * np.sqrt(vals.clip(0.0, None))[..., None, :]) @ np.swapaxes(vecs.conj(), -1, -2)
     s = np.linalg.svd(root @ _FLIP @ root.conj(), compute_uv=False)
     return np.sort(s * s, axis=-1)[..., ::-1]
 
 
-def xi_spectrum(w: DensityMatrix, clamp: float = XI_CLAMP) -> np.ndarray:
+def xi_spectrum(w: DensityMatrix) -> np.ndarray:
     """Eigenvalues of the spin-flipped matrix, descending (see xi_spectra)."""
-    return xi_spectra(_mat_2x2(w), clamp)
+    return xi_spectra(_mat_2x2(w))
 
 
 def concurrences_from_xi(xi: np.ndarray) -> np.ndarray:
@@ -149,15 +148,15 @@ def pt_spectra(mats: np.ndarray, k: int, m: int) -> np.ndarray:
     return np.linalg.eigvalsh(partial_transpose(mats, k, m))
 
 
-def ppt_check(w: DensityMatrix, tol: float = PPT_TOL) -> PPTResult:
+def ppt_check(w: DensityMatrix) -> PPTResult:
     """Positivity of the partial transpose.
 
-    A negative eigenvalue proves entanglement for any bipartition; a
+    An eigenvalue below -PPT_TOL proves entanglement for any bipartition; a
     nonnegative spectrum proves separability only for 2x2, 2x3, and 3x2,
     and is reported as "ppt_undecided" otherwise.
     """
     spec = pt_spectra(w.matrix, w.k, w.m)
-    if spec[0] < -tol:
+    if spec[0] < -PPT_TOL:
         verdict = "entangled"
     elif (w.k, w.m) in {(2, 2), (2, 3), (3, 2)}:
         verdict = "separable"
@@ -175,10 +174,8 @@ def char_coeffs(f: BlochForm, transposed: bool = False) -> np.ndarray:
     exactly the det G term in C1, and the det G and mixed a_i b_i mu_j mu_k
     terms in C0, change sign.
     """
-    if (f.k, f.m) != (2, 2):
-        raise ValueError(f"closed-form coefficients are defined for 2x2 systems, got ({f.k},{f.m})")
-    if np.max(np.abs(f.g - np.diag(np.diagonal(f.g)))) > 1e-12:
-        raise ValueError("closed-form coefficients require a canonical (diagonal) G block")
+    _require_2x2(f, "the closed-form characteristic polynomial")
+    _require_diagonal_g(f, "the closed-form characteristic polynomial")
     a, b = f.a, f.b
     mu = np.diagonal(f.g)
     na2, nb2 = float(a @ a), float(b @ b)
@@ -233,6 +230,16 @@ def maximal_ball_check(w: DensityMatrix) -> bool:
     return bool(in_maximal_ball(float(purities(w.matrix)), w.dim))
 
 
+def _check_unit_spectrum(r: np.ndarray) -> None:
+    """Raise ValueError unless r is finite, >= -1e-12 and sums to 1 within 1e-8."""
+    if not np.all(np.isfinite(r)):
+        raise ValueError(f"spectrum must be finite, got {r}")
+    if np.any(r < -1e-12):
+        raise ValueError("spectrum must be nonnegative")
+    if abs(r.sum() - 1.0) > 1e-8:
+        raise ValueError(f"spectrum must sum to 1, got {r.sum()}")
+
+
 def cstar(spectrum) -> float:
     """Spectrum-only concurrence bound max(0, r1 - r3 - 2 sqrt(r2 r4)) for
     N = 4 spectra sorted descending: the largest concurrence attainable on
@@ -240,12 +247,7 @@ def cstar(spectrum) -> float:
     r = np.asarray(spectrum, dtype=float).reshape(-1)
     if r.shape != (4,):
         raise ValueError(f"expected 4 eigenvalues, got shape {r.shape}")
-    if not np.all(np.isfinite(r)):
-        raise ValueError(f"spectrum must be finite, got {r}")
-    if np.any(r < -1e-12):
-        raise ValueError("spectrum must be nonnegative")
-    if abs(r.sum() - 1.0) > 1e-8:
-        raise ValueError(f"spectrum must sum to 1, got {r.sum()}")
+    _check_unit_spectrum(r)
     if np.any(np.diff(r) > 1e-12):
         raise ValueError("spectrum must be sorted descending")
     return float(max(0.0, r[0] - r[2] - 2.0 * np.sqrt(r[1] * r[3])))

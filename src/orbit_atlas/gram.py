@@ -37,7 +37,7 @@ from functools import lru_cache
 import numpy as np
 
 from .algebra import structure_constants, su_generators
-from .states import BlochForm, DensityMatrix, _check_hermitian, _gens
+from .states import BlochForm, DensityMatrix, _gens, _require_2x2, _require_diagonal_g
 
 __all__ = [
     "RANK_TOL",
@@ -66,10 +66,6 @@ class GramReport:
     matrix: np.ndarray
     spectrum: np.ndarray  # ascending
     rank: int
-
-    @property
-    def local_dim(self) -> int:
-        return self.rank
 
     @property
     def block_a(self) -> np.ndarray:
@@ -121,8 +117,7 @@ def tangent_vectors(w: DensityMatrix) -> np.ndarray:
 
 def _tangent_rows(w: DensityMatrix) -> np.ndarray:
     # real rows [Re vec T_n, Im vec T_n]: their dot product is Tr(T_m T_n)
-    # only when the commutators, and so W, are Hermitian
-    _check_hermitian(w.matrix)
+    # because the commutators of the Hermitian W are Hermitian
     t = tangent_vectors(w).reshape(w.k**2 + w.m**2 - 2, -1)
     return np.concatenate([t.real, t.imag], axis=1)
 
@@ -144,8 +139,8 @@ def gram_direct(w: DensityMatrix, tol: float = RANK_TOL) -> GramReport:
     return _report(w.k, w.m, 0.5 * rows @ rows.T, tol)
 
 
-def gram_closed_form(f: BlochForm, tol: float = RANK_TOL) -> GramReport:
-    """Gram matrix evaluated from the Bloch coefficients, no commutators."""
+def _closed_form_matrix(f: BlochForm) -> np.ndarray:
+    """The closed-form Gram matrix [[A, B], [B^T, D]], not yet symmetrised."""
     k, m = f.k, f.m
     c, d = _consts(k), _consts(m)
     rc, rd = c.reshape(len(c), -1), d.reshape(len(d), -1)
@@ -155,20 +150,25 @@ def gram_closed_form(f: BlochForm, tol: float = RANK_TOL) -> GramReport:
     block_a = rc @ (ma @ c).reshape(len(c), -1).T
     block_b = 2.0 * rc @ (g @ d.transpose(0, 2, 1) @ g.T).reshape(len(d), -1).T
     block_d = rd @ (md @ d).reshape(len(d), -1).T
-    return _report(k, m, np.block([[block_a, block_b], [block_b.T, block_d]]), tol)
+    return np.block([[block_a, block_b], [block_b.T, block_d]])
 
 
-def local_orbit_dim(report: GramReport, tol: float = RANK_TOL) -> int:
-    """Rank of the Gram matrix: eigenvalues above tol * lambda_max (0 within rounding)."""
-    return _spectral_rank(report.spectrum, tol)
+def gram_closed_form(f: BlochForm) -> GramReport:
+    """Gram matrix evaluated from the Bloch coefficients, no commutators."""
+    return _report(f.k, f.m, _closed_form_matrix(f), RANK_TOL)
 
 
-def orbit_dim_oracle(w: DensityMatrix, tol: float = RANK_TOL) -> int:
+def local_orbit_dim(report: GramReport) -> int:
+    """Rank of the Gram matrix: eigenvalues above RANK_TOL * lambda_max (0 within rounding)."""
+    return _spectral_rank(report.spectrum, RANK_TOL)
+
+
+def orbit_dim_oracle(w: DensityMatrix) -> int:
     """Orbit dimension from an independent route: rank of the stacked
     real/imaginary parts of the vectorized tangent vectors, via singular
     values with the same relative threshold applied to their squares."""
     s2 = np.linalg.svd(_tangent_rows(w), compute_uv=False) ** 2
-    return _spectral_rank(s2, tol)
+    return _spectral_rank(s2, RANK_TOL)
 
 
 def pure_gram_spectrum(c: float) -> np.ndarray:
@@ -179,7 +179,7 @@ def pure_gram_spectrum(c: float) -> np.ndarray:
     return np.sort(np.array([0.0, 2.0 * c * c, 1 + c, 1 + c, 1 - c, 1 - c]))
 
 
-def gram_split_2x2(f: BlochForm, tol: float = RANK_TOL) -> GramSplit2x2:
+def gram_split_2x2(f: BlochForm) -> GramSplit2x2:
     """Split the 2x2 Gram matrix into its G-only and (a, b)-only parts.
 
     Requires canonical form (G diagonal).  C_G is the Gram matrix of the
@@ -189,13 +189,12 @@ def gram_split_2x2(f: BlochForm, tol: float = RANK_TOL) -> GramSplit2x2:
     second, with eigenvalue pairs 8|a|^2, 8|b|^2 and two zeros.  The two
     parts are each positive semidefinite and sum to the full Gram matrix.
     """
-    if (f.k, f.m) != (2, 2):
-        raise ValueError(f"split is defined for 2x2 systems, got ({f.k},{f.m})")
-    if np.max(np.abs(f.g - np.diag(np.diagonal(f.g)))) > 1e-12:
-        raise ValueError("split requires a canonical (diagonal) G block")
+    _require_2x2(f, "the Gram split")
+    _require_diagonal_g(f, "the Gram split")
     mu = np.diagonal(f.g)
     zero = np.zeros(3)
-    c_g = gram_closed_form(BlochForm(2, 2, zero, zero, f.g), tol).matrix
+    c_g = _closed_form_matrix(BlochForm(2, 2, zero, zero, f.g))
+    c_g = 0.5 * (c_g + c_g.T)
     c_ab = np.zeros((6, 6))
     c_ab[:3, :3] = 8.0 * ((f.a @ f.a) * np.eye(3) - np.outer(f.a, f.a))
     c_ab[3:, 3:] = 8.0 * ((f.b @ f.b) * np.eye(3) - np.outer(f.b, f.b))
@@ -209,8 +208,8 @@ def gram_split_2x2(f: BlochForm, tol: float = RANK_TOL) -> GramSplit2x2:
         c_g=c_g,
         c_ab=c_ab,
         rho_eigs=rho,
-        corank_cg=len(rho) - _spectral_rank(np.abs(rho), tol),
-        corank_cab=len(nu) - _spectral_rank(np.abs(nu), tol),
+        corank_cg=len(rho) - _spectral_rank(np.abs(rho), RANK_TOL),
+        corank_cab=len(nu) - _spectral_rank(np.abs(nu), RANK_TOL),
     )
 
 
@@ -218,8 +217,7 @@ def b_block_residual(f: BlochForm) -> float:
     """Max-norm residual of the off-diagonal block identity
     B G^T = G^T B = -16 det(G) I for 2x2 Bloch forms (any G, not
     necessarily diagonal)."""
-    if (f.k, f.m) != (2, 2):
-        raise ValueError(f"the block identity is defined for 2x2 systems, got ({f.k},{f.m})")
-    b = gram_closed_form(f).block_b
+    _require_2x2(f, "the B-block identity")
+    b = _closed_form_matrix(f)[:3, 3:]
     target = -16.0 * np.linalg.det(f.g) * np.eye(3)
     return float(max(np.max(np.abs(b @ f.g.T - target)), np.max(np.abs(f.g.T @ b - target))))

@@ -51,19 +51,25 @@ PSD_TOL = 1e-10
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """A (k*m, k*m) Hermitian matrix with a declared bipartition."""
+    """A finite (k*m, k*m) Hermitian matrix (|W - W^dag| <= 1e-8 entrywise),
+    stored as a read-only copy, with a declared bipartition."""
 
     k: int
     m: int
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        mat = np.asarray(self.matrix, dtype=complex)
+        mat = np.array(self.matrix, dtype=complex)
         n = self.k * self.m
         if self.k < 2 or self.m < 2:
             raise ValueError(f"bipartition ({self.k},{self.m}) needs both factors >= 2")
         if mat.shape != (n, n):
             raise ValueError(f"matrix shape {mat.shape} does not fit bipartition ({self.k},{self.m})")
+        with np.errstate(invalid="ignore"):  # a non-finite W fails this test as well
+            if not np.abs(mat - mat.conj().T).max() <= 1e-8:
+                finite = np.isfinite(mat).all()
+                raise ValueError("matrix is not Hermitian" if finite else "matrix has non-finite entries")
+        mat.flags.writeable = False
         object.__setattr__(self, "matrix", mat)
 
     @property
@@ -84,14 +90,14 @@ class PureState:
         if amp.shape != (self.k * self.m,):
             raise ValueError(f"amplitude length {amp.shape} does not fit bipartition ({self.k},{self.m})")
         nrm = np.linalg.norm(amp)
-        if abs(nrm - 1.0) > 1e-8:
+        if not abs(nrm - 1.0) <= 1e-8:
             raise ValueError(f"pure state must be normalized, got norm {nrm}")
         object.__setattr__(self, "amplitudes", amp)
 
 
 @dataclass(frozen=True)
 class BlochForm:
-    """Coefficients (a, b, G) of a density matrix over the product generator basis."""
+    """Finite coefficients (a, b, G) of a density matrix over the product generator basis."""
 
     k: int
     m: int
@@ -108,6 +114,8 @@ class BlochForm:
             raise ValueError(
                 f"Bloch coefficient shapes {a.shape}, {b.shape}, {g.shape} do not fit ({self.k},{self.m})"
             )
+        if not np.isfinite(np.concatenate((a, b, g.reshape(-1)))).all():
+            raise ValueError("Bloch coefficients have non-finite entries")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "g", g)
@@ -121,23 +129,28 @@ def _gens(n: int) -> np.ndarray:
     return stack
 
 
-def _check_hermitian(mat: np.ndarray) -> None:
-    if np.max(np.abs(mat - mat.conj().T)) > 1e-8:
-        raise ValueError("matrix is not Hermitian")
+def _require_2x2(x, name: str) -> None:
+    if (x.k, x.m) != (2, 2):
+        raise ValueError(f"{name} is defined for 2x2 systems, got ({x.k},{x.m})")
 
 
-def validate_density(w: DensityMatrix, tol: float = PSD_TOL) -> None:
-    """Raise ValueError unless w is finite, Hermitian, unit trace, and PSD within tol."""
+def _require_diagonal_g(f: BlochForm, name: str) -> None:
+    if np.max(np.abs(f.g - np.diag(np.diagonal(f.g)))) > 1e-12:
+        raise ValueError(f"{name} needs a canonical (diagonal) G block")
+
+
+def validate_density(w: DensityMatrix) -> np.ndarray:
+    """Raise ValueError unless w has unit trace and is PSD within PSD_TOL;
+    return its ascending spectrum.  Finiteness and Hermiticity are checked
+    when the DensityMatrix is built."""
     mat = w.matrix
-    if not np.all(np.isfinite(mat)):
-        raise ValueError("matrix has non-finite entries")
-    _check_hermitian(mat)
     tr = np.trace(mat).real
     if abs(tr - 1.0) > 1e-8:
         raise ValueError(f"trace is {tr}, expected 1")
-    low = np.linalg.eigvalsh(mat).min()
-    if low < -tol:
-        raise ValueError(f"matrix is not positive semidefinite (min eigenvalue {low})")
+    spectrum = np.linalg.eigvalsh(mat)
+    if spectrum[0] < -PSD_TOL:
+        raise ValueError(f"matrix is not positive semidefinite (min eigenvalue {spectrum[0]})")
+    return spectrum
 
 
 def pure_density(w: PureState) -> DensityMatrix:
@@ -167,11 +180,9 @@ def decompose_bloch(w: DensityMatrix) -> BlochForm:
     Uses the trace orthogonality of the basis:
     a_j = Tr(W (e_j x I)) / (-2 i M), b_alpha = Tr(W (I x f_alpha)) / (-2 i K),
     G_{j alpha} = Tr(W (e_j x f_alpha)) / 4.
-    Raises ValueError if W is not Hermitian, whose Bloch form would be complex.
     """
     k, m = w.k, w.m
     e, fa = _gens(k), _gens(m)
-    _check_hermitian(w.matrix)
     w4 = w.matrix.reshape(k, m, k, m)
     # Tr(W (e_j x X)) = Tr(P_j X) with P_j = sum_i,l e_j[l, i] W[i, :, l, :]
     p = np.einsum("xli,ialb->xab", e, w4)
@@ -188,12 +199,7 @@ def _schmidt_amplitudes(theta) -> np.ndarray:
     if np.any(bad):
         raise ValueError(f"theta must lie in [0, pi/2], got {theta[bad].flat[0]}")
     zero = np.zeros_like(theta)
-    amp = np.stack([np.cos(theta / 2), zero, zero, np.sin(theta / 2)], axis=-1).astype(complex)
-    nrm = np.linalg.norm(amp, axis=-1)
-    off = np.abs(nrm - 1.0) > 1e-8
-    if np.any(off):
-        raise ValueError(f"pure state must be normalized, got norm {nrm[off].flat[0]}")
-    return amp
+    return np.stack([np.cos(theta / 2), zero, zero, np.sin(theta / 2)], axis=-1).astype(complex)
 
 
 def schmidt_vector(theta: float) -> PureState:
@@ -285,10 +291,10 @@ def random_state(kind: str, k: int, m: int, seed=None):
     raise ValueError(f"unknown state kind {kind!r}; expected 'pure' or 'mixed'")
 
 
-def state_to_json(w: DensityMatrix, indent: int | None = None) -> str:
+def state_to_json(w: DensityMatrix) -> str:
     """Serialize a density matrix as JSON with [re, im] entry pairs."""
     mat = [[[float(z.real), float(z.imag)] for z in row] for row in w.matrix]
-    return json.dumps({"k": w.k, "m": w.m, "matrix": mat}, indent=indent)
+    return json.dumps({"k": w.k, "m": w.m, "matrix": mat})
 
 
 def state_from_json(payload) -> DensityMatrix:
@@ -303,29 +309,23 @@ def state_from_json(payload) -> DensityMatrix:
     return DensityMatrix(k, m, mat)
 
 
-def bloch_to_json(f: BlochForm, indent: int | None = None) -> str:
+def bloch_to_json(f: BlochForm) -> str:
     """Serialize a Bloch form as JSON with plain real arrays."""
-    return json.dumps(
-        {
-            "k": f.k,
-            "m": f.m,
-            "a": [float(x) for x in f.a],
-            "b": [float(x) for x in f.b],
-            "g": [[float(x) for x in row] for row in f.g],
-        },
-        indent=indent,
-    )
+    return json.dumps({
+        "k": f.k,
+        "m": f.m,
+        "a": [float(x) for x in f.a],
+        "b": [float(x) for x in f.b],
+        "g": [[float(x) for x in row] for row in f.g],
+    })
 
 
 def bloch_from_json(payload) -> BlochForm:
     """Parse a Bloch form from a JSON string or a decoded dict."""
     data = json.loads(payload) if isinstance(payload, (str, bytes)) else payload
     try:
-        return BlochForm(
-            int(data["k"]), int(data["m"]),
-            np.asarray(data["a"], dtype=float),
-            np.asarray(data["b"], dtype=float),
-            np.asarray(data["g"], dtype=float),
-        )
+        k, m = int(data["k"]), int(data["m"])
+        a, b, g = (np.asarray(data[key], dtype=float) for key in "abg")
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed Bloch payload: {exc}") from exc
+    return BlochForm(k, m, a, b, g)

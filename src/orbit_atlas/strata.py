@@ -39,6 +39,8 @@ def weyl_cell(spectrum, tol: float = 1e-9) -> WeylCell:
         raise ValueError("spectrum needs at least two eigenvalues")
     if not np.all(np.isfinite(r)):
         raise ValueError(f"spectrum must be finite, got {r}")
+    # looser than cstar's -1e-12 and 1e-8: this takes the raw eigvalsh of a
+    # W that validate_density accepts with PSD_TOL = 1e-10 of slack
     if np.any(r < -1e-8):
         raise ValueError(f"spectrum must be nonnegative, got min {r.min()}")
     if abs(r.sum() - 1.0) > 1e-6:

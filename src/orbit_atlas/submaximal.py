@@ -30,7 +30,7 @@ from typing import Callable
 import numpy as np
 
 from .entanglement import concurrences_from_xi, ppt_check, xi_spectrum
-from .gram import RANK_TOL, gram_direct
+from .gram import gram_direct
 from .states import BlochForm, DensityMatrix, _rng, compose_bloch
 
 __all__ = [
@@ -470,7 +470,7 @@ def _multiset_residual(pred: np.ndarray, actual: np.ndarray) -> float:
     return float(np.max(np.abs(p - a)))
 
 
-def verify_case(case_id: int, params: dict, rank_tol: float = RANK_TOL) -> CaseVerdict:
+def verify_case(case_id: int, params: dict) -> CaseVerdict:
     """Compare the catalog predictions at one point against direct numerics.
 
     Eigenvalue predictions are compared as multisets.  The separability
@@ -480,14 +480,13 @@ def verify_case(case_id: int, params: dict, rank_tol: float = RANK_TOL) -> CaseV
     spec = _spec(case_id)
     args = _args(spec, params)
     w = compose_bloch(spec.bloch(*args))
-    return _verify(spec, params, args, w, np.linalg.eigvalsh(w.matrix), rank_tol)
+    return _verify(spec, params, args, w, np.linalg.eigvalsh(w.matrix))
 
 
-def _verify(
-    spec: CaseSpec, params: dict, args: list, w: DensityMatrix, w_eigs: np.ndarray, rank_tol: float
-) -> CaseVerdict:
+def _verify(spec: CaseSpec, params: dict, args: list, w: DensityMatrix,
+            w_eigs: np.ndarray) -> CaseVerdict:
     pred = spec.predict(*args)
-    report = gram_direct(w, rank_tol)
+    report = gram_direct(w)
     ppt = ppt_check(w)
     xi_actual = xi_spectrum(w)
     if pred.concurrence is None:
@@ -520,13 +519,7 @@ def _jsonable(value):
     return value
 
 
-def verify_cases(
-    case_ids=None,
-    samples: int = 100,
-    seed: int = 0,
-    tol: float = 1e-9,
-    rank_tol: float = RANK_TOL,
-) -> dict:
+def verify_cases(case_ids=None, samples: int = 100, seed: int = 0, tol: float = 1e-9) -> dict:
     """Run the harness over the requested cases; returns a JSON-ready report.
 
     Per case: every sampled point's residual vector and match flags, the
@@ -545,7 +538,7 @@ def verify_cases(
         max_res: dict[str, float] = {q: 0.0 for q in _QUANTITIES}
         flags_ok = True
         for params, args, w, w_eigs in _points(spec, samples, rng):
-            v = _verify(spec, params, args, w, w_eigs, rank_tol)
+            v = _verify(spec, params, args, w, w_eigs)
             res = v.residuals()
             for q in _QUANTITIES:
                 if res[q] is not None:

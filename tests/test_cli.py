@@ -153,6 +153,35 @@ def test_analyze_rejects_non_finite_matrix(tmp_path, capsys):
     assert code == 2 and out == "" and "non-finite" in err
 
 
+def test_analyze_rejects_non_finite_bloch_coefficient(tmp_path, capsys):
+    p = tmp_path / "nan-bloch.json"
+    p.write_text(json.dumps({
+        "k": 2, "m": 2, "a": [float("nan"), 0, 0], "b": [0.05, 0, 0],
+        "g": [[0.1, 0, 0], [0, 0, 0], [0, 0, 0]],
+    }))
+    code, out, err = _run(capsys, ["analyze", str(p)])
+    assert code == 2 and out == "" and "non-finite" in err and "Traceback" not in err
+
+
+def test_analyze_solves_the_state_spectrum_once(bell_file, capsys, monkeypatch):
+    # eigvalsh: the state spectrum (validate_density, reused by weyl_cell),
+    # unit_spectrum, the Gram and the partial-transpose spectra; eigh:
+    # xi_spectra and the pure canonical form
+    _, want, _ = _run(capsys, ["analyze", str(bell_file)])
+    calls = {"eigvalsh": 0, "eigh": 0}
+    for name in calls:
+        solver = getattr(np.linalg, name)
+
+        def counting(*args, _name=name, _solver=solver, **kwargs):
+            calls[_name] += 1
+            return _solver(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counting)
+    code, out, _ = _run(capsys, ["analyze", str(bell_file)])
+    assert code == 0 and out == want
+    assert calls == {"eigvalsh": 4, "eigh": 2}
+
+
 @pytest.mark.parametrize("tol", ["nan", "inf", "-1e-9", "abc"])
 @pytest.mark.parametrize("argv", [
     ["analyze", "state.json"],

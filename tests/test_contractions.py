@@ -108,12 +108,11 @@ def test_gram_direct_matches_trace_loop(k, m):
 
 
 def test_commutator_routes_reject_non_hermitian():
-    mat = random_state("mixed", 2, 3, seed=4).matrix
+    mat = random_state("mixed", 2, 3, seed=4).matrix.copy()
     mat[0, 1] += 0.1
-    w = DensityMatrix(2, 3, mat)
     for route in (gram_direct, orbit_dim_oracle):
         with pytest.raises(ValueError, match="not Hermitian"):
-            route(w)
+            route(DensityMatrix(2, 3, mat))
 
 
 @pytest.mark.parametrize("k,m", SPLITS)

@@ -129,6 +129,24 @@ def test_b_block_identity_on_random_forms():
     assert worst <= 1e-10
 
 
+def test_two_by_two_helpers_solve_no_gram_spectrum(monkeypatch):
+    f = BlochForm(2, 2, [0.1, 0, 0], [0, 0.05, 0], np.diag([0.2, 0.1, -0.05]))
+    want = gram_closed_form(BlochForm(2, 2, np.zeros(3), np.zeros(3), f.g)).matrix
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return eigvalsh(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    b_block_residual(f)
+    assert calls == []
+    # the split's C_G is the symmetrised closed form, byte for byte
+    assert gram_split_2x2(f).c_g.tobytes() == want.tobytes()
+    assert calls == []
+
+
 def test_b_block_identity_at_unit_g():
     f = BlochForm(2, 2, np.zeros(3), np.zeros(3), np.eye(3))
     rep = gram_closed_form(f)

@@ -49,21 +49,58 @@ def test_pure_state_norm_validation():
     PureState(2, 2, np.array([1, 1, 0, 0]) / np.sqrt(2))
 
 
+_BAD_INPUTS = {
+    "matrix-nan": (lambda: DensityMatrix(2, 2, np.diag([np.nan, 0.5, 0.25, 0.25])), "non-finite"),
+    "matrix-inf": (lambda: DensityMatrix(2, 2, np.diag([np.inf, 0.5, 0.25, 0.25])), "non-finite"),
+    "matrix-nan-imag": (
+        lambda: DensityMatrix(2, 2, np.diag([0.25, 0.25, 0.25, complex(0.25, np.nan)])), "non-finite"
+    ),
+    "matrix-non-hermitian": (
+        lambda: DensityMatrix(2, 2, np.eye(4) / 4 + np.diag([0.1, 0.1, 0.1], 1)), "not Hermitian"
+    ),
+    "bloch-nan": (lambda: BlochForm(2, 2, [np.nan, 0, 0], np.zeros(3), np.zeros((3, 3))), "non-finite"),
+    "bloch-inf": (lambda: BlochForm(2, 2, np.zeros(3), np.zeros(3), np.diag([0.1, -np.inf, 0.1])), "non-finite"),
+    "pure-nan": (lambda: PureState(2, 2, [np.nan, 0, 0, 0]), "normalized"),
+    "pure-inf": (lambda: PureState(2, 2, [np.inf, 0, 0, 0]), "normalized"),
+}
+
+
+@pytest.mark.parametrize("build,match", _BAD_INPUTS.values(), ids=_BAD_INPUTS.keys())
+def test_state_types_reject_non_finite_and_non_hermitian_input(build, match):
+    with pytest.raises(ValueError, match=match):
+        build()
+
+
+def test_density_matrix_stores_a_read_only_copy():
+    source = np.eye(4, dtype=complex) / 4
+    w = DensityMatrix(2, 2, source)
+    assert not w.matrix.flags.writeable
+    with pytest.raises(ValueError):
+        w.matrix[0, 1] = 0.1
+    source[0, 1] = 0.1
+    assert w.matrix[0, 1] == 0
+
+
+def test_validate_density_returns_the_ascending_spectrum():
+    w = random_state("mixed", 2, 3, seed=9)
+    np.testing.assert_array_equal(validate_density(w), np.linalg.eigvalsh(w.matrix))
+    assert validate_density(maximally_mixed(2, 2)).tolist() == [0.25] * 4
+
+
 def test_validate_density_contracts():
     w = maximally_mixed(2, 2)
     validate_density(w)
-    bad_herm = DensityMatrix(2, 2, np.eye(4) / 4 + 1j * np.diag([1e-3, 0, 0, -1e-3]) @ np.ones((4, 4)))
+    skew = 1j * np.diag([1e-3, 0, 0, -1e-3]) @ np.ones((4, 4))
     with pytest.raises(ValueError):
-        validate_density(bad_herm)
+        validate_density(DensityMatrix(2, 2, np.eye(4) / 4 + skew))
     bad_trace = DensityMatrix(2, 2, np.eye(4) / 2)
     with pytest.raises(ValueError):
         validate_density(bad_trace)
     bad_psd = DensityMatrix(2, 2, np.diag([0.6, 0.5, 0.0, -0.1]))
     with pytest.raises(ValueError):
         validate_density(bad_psd)
-    not_finite = DensityMatrix(2, 2, np.diag([np.nan, 0.5, 0.25, 0.25]))
     with pytest.raises(ValueError, match="non-finite"):
-        validate_density(not_finite)
+        validate_density(DensityMatrix(2, 2, np.diag([np.nan, 0.5, 0.25, 0.25])))
 
 
 @pytest.mark.parametrize("k,m", [(2, 2), (2, 3), (3, 3)])

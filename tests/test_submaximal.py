@@ -31,7 +31,7 @@ def test_registry_coranks():
 @pytest.mark.parametrize("cid", sorted(CASES))
 def test_sampled_states_are_valid(cid):
     for params in sample_params(cid, 5, seed=50 + cid):
-        validate_density(case_state(cid, params), tol=1e-10)
+        validate_density(case_state(cid, params))
 
 
 @pytest.mark.parametrize("cid", sorted(CASES))
