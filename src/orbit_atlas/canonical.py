@@ -36,25 +36,18 @@ __all__ = [
 _STRATUM_TOL = 1e-8  # concurrence snapped to the separable (0) and maximal (1) strata
 
 
-def _amps4(w) -> np.ndarray:
-    if isinstance(w, PureState):
-        _require_2x2(w, "the amplitude matrix")
-        return w.amplitudes
-    amp = np.asarray(w, dtype=complex).reshape(-1)
-    if amp.shape != (4,):
-        raise ValueError(f"expected 4 amplitudes, got shape {amp.shape}")
-    return amp
-
-
 def amplitude_matrix(w) -> np.ndarray:
-    """X(w) = [[v, y], [x, z]] for amplitudes w = (v, x, y, z)."""
-    return _amps4(w).reshape(2, 2).T.copy()
+    """X(w) = [[v, y], [x, z]] for amplitudes w = (v, x, y, z): a 2x2 PureState,
+    or 4 amplitudes held to PureState's contract (finite, unit norm)."""
+    w = w if isinstance(w, PureState) else PureState(2, 2, w)
+    _require_2x2(w, "the amplitude matrix")
+    return w.amplitudes.reshape(2, 2).T.copy()
 
 
 def omega(w) -> complex:
     """det X(w) = v z - x y; |omega| is a local unitary invariant in [0, 1/2]."""
-    amp = _amps4(w)
-    return complex(amp[0] * amp[3] - amp[1] * amp[2])
+    x = amplitude_matrix(w)
+    return complex(x[0, 0] * x[1, 1] - x[1, 0] * x[0, 1])
 
 
 @dataclass(frozen=True)
@@ -79,9 +72,7 @@ def _special_phase(u: np.ndarray) -> np.ndarray:
 
 def schmidt_pure(w) -> SchmidtForm:
     """Canonicalize a pure 2x2 state via the SVD of its amplitude matrix."""
-    amp = _amps4(w)
-    x = amplitude_matrix(amp)
-    uu, s, vh = np.linalg.svd(x)
+    uu, s, vh = np.linalg.svd(amplitude_matrix(w))
     u = _special_phase(uu.conj().T)
     v = _special_phase(vh.conj())
     p, q = float(s[0]), float(s[1])

@@ -35,14 +35,12 @@ from .entanglement import (
     ppt_check,
     pt_spectra,
     purities,
-    unit_spectrum,
 )
 from .gram import RANK_TOL, gram_direct
 from .canonical import canonicalize_mixed_2x2, pure_stratum
 from .states import (
     BlochForm,
     DensityMatrix,
-    PureState,
     compose_bloch,
     bloch_to_json,
     bloch_from_json,
@@ -142,9 +140,8 @@ def _canonical_payload(w: DensityMatrix, f: BlochForm) -> dict | None:
         return None
     purity = float(purities(w.matrix))
     if purity > 1.0 - 1e-8:
-        vals, vecs = np.linalg.eigh(w.matrix)
-        amp = vecs[:, -1]
-        stratum = pure_stratum(PureState(2, 2, amp / np.linalg.norm(amp)))
+        amp = np.linalg.eigh(w.matrix)[1][:, -1]
+        stratum = pure_stratum(amp / np.linalg.norm(amp))
         return {
             "type": "pure",
             "theta": stratum.theta,
@@ -317,10 +314,11 @@ def _cmd_ball_check(args) -> int:
     if (args.input is None) == (args.spectrum is None):
         raise _CliError("give exactly one of INPUT or --spectrum")
     if args.input is not None:
-        w, _, _ = _load_state(args.input)
+        w, _, spectrum = _load_state(args.input)
         n = w.dim
         purity = float(purities(w.matrix))
-        spec = unit_spectrum(w)
+        spec = spectrum[::-1].clip(0.0, None)  # unit_spectrum(w), from the spectrum in hand
+        spec = spec / spec.sum()
     else:
         try:
             spec = np.sort(np.array([float(s) for s in args.spectrum.split(",")]))[::-1]

@@ -5,11 +5,11 @@ by the commutators W_j = [e_j x I, W] and W_alpha = [I x f_alpha, W].
 Their Gram matrix C_{mn} = 1/2 Tr(W_m W_n) is real symmetric and positive
 semidefinite, of size K^2 + M^2 - 2; its rank is the orbit dimension.
 
-``tangent_vectors`` contracts W, as a (K, M, K, M) tensor, with the su(K)
-and su(M) generator stacks into one Hermitian (K^2 + M^2 - 2, KM, KM) stack.
-Tr(W_m W_n) is the dot product of the real rows [Re vec W_m, Im vec W_m], so
-``gram_direct`` is the one product rows @ rows.T / 2 and ``orbit_dim_oracle``
-takes the singular values of the same rows.
+``tangent_vectors`` builds the Hermitian (K^2 + M^2 - 2, KM, KM) stack from four
+matrix products of W with the su(K) and su(M) generator stacks.  Each W_m becomes
+one real row of (KM)^2 Hermitian coordinates, diag W_m and sqrt2 Re, sqrt2 Im of
+its strict upper triangle, so Tr(W_m W_n) is a dot product of rows: ``gram_direct``
+is rows @ rows.T / 2 and ``orbit_dim_oracle`` takes the rows' singular values.
 
 ``gram_closed_form`` evaluates C directly from the Bloch coefficients,
 
@@ -103,23 +103,35 @@ def tangent_vectors(w: DensityMatrix) -> np.ndarray:
     """Commutators [e_j x I, W] followed by [I x f_alpha, W], as one
     (K^2 + M^2 - 2, KM, KM) stack, Hermitian when W is; iterating it
     yields the commutators one by one."""
-    k, m = w.k, w.m
-    e, f = _gens(k), _gens(m)
-    w4 = w.matrix.reshape(k, m, k, m)
-    t = np.empty((len(e) + len(f), k, m, k, m), dtype=complex)
+    k, m, n = w.k, w.m, w.dim
+    e, f, mat = _gens(k), _gens(m), w.matrix
+    t = np.empty((len(e) + len(f), n, n), dtype=complex)
     ta, tb = t[: len(e)], t[len(e) :]
-    np.einsum("xip,pajb->xiajb", e, w4, out=ta)
-    ta -= np.einsum("iaqb,xqj->xiajb", w4, e)
-    np.einsum("xac,icjb->xiajb", f, w4, out=tb)
-    tb -= np.einsum("iajd,xdb->xiajb", w4, f)
-    return t.reshape(-1, k * m, k * m)
+    # X W multiplies X into a factor of W's row index, W X into one of its column index
+    np.matmul(e.reshape(-1, k), mat.reshape(k, -1), out=ta.reshape(-1, m * n))
+    np.matmul(f[:, None], mat.reshape(k, m, n), out=tb.reshape(-1, k, m, n))
+    tb -= (mat.reshape(n * k, m) @ f).reshape(-1, n, n)
+    wx = mat.reshape(n, k, m).transpose(0, 2, 1).reshape(n * m, k) @ e
+    ta.reshape(-1, n, k, m)[...] -= wx.reshape(-1, n, m, k).transpose(0, 1, 3, 2)
+    return t
+
+
+@lru_cache(maxsize=16)
+def _hermitian_coords(n: int) -> np.ndarray:
+    # float-view indices of a flat complex (n, n): Re diag, Re and Im of the strict upper triangle
+    upper = 2 * np.ravel_multi_index(np.triu_indices(n, 1), (n, n))
+    coords = np.concatenate([2 * (n + 1) * np.arange(n), upper, upper + 1])
+    coords.flags.writeable = False
+    return coords
 
 
 def _tangent_rows(w: DensityMatrix) -> np.ndarray:
-    # real rows [Re vec T_n, Im vec T_n]: their dot product is Tr(T_m T_n)
-    # because the commutators of the Hermitian W are Hermitian
-    t = tangent_vectors(w).reshape(w.k**2 + w.m**2 - 2, -1)
-    return np.concatenate([t.real, t.imag], axis=1)
+    # diag T, sqrt2 Re and sqrt2 Im of T's strict upper triangle: row_m . row_n = Tr(T_m T_n).
+    # One triangle loses nothing: DensityMatrix holds W, and so T, Hermitian to 1e-8.
+    t = tangent_vectors(w)
+    rows = t.reshape(len(t), -1).view(float)[:, _hermitian_coords(w.dim)]
+    rows[:, w.dim :] *= np.sqrt(2.0)
+    return rows
 
 
 def _spectral_rank(spectrum: np.ndarray, tol: float) -> int:
@@ -164,9 +176,8 @@ def local_orbit_dim(report: GramReport) -> int:
 
 
 def orbit_dim_oracle(w: DensityMatrix) -> int:
-    """Orbit dimension from an independent route: rank of the stacked
-    real/imaginary parts of the vectorized tangent vectors, via singular
-    values with the same relative threshold applied to their squares."""
+    """Orbit dimension from an independent route: rank of the tangent vectors'
+    Hermitian-coordinate rows from their singular values, thresholded as squares."""
     s2 = np.linalg.svd(_tangent_rows(w), compute_uv=False) ** 2
     return _spectral_rank(s2, RANK_TOL)
 

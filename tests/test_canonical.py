@@ -7,6 +7,7 @@ from orbit_atlas import (
     amplitude_matrix,
     canonicalize_mixed_2x2,
     compose_bloch,
+    concurrence_pure,
     decompose_bloch,
     gram_direct,
     omega,
@@ -123,6 +124,15 @@ def test_canonicalize_rejects_non_2x2():
     f = decompose_bloch(random_state("mixed", 2, 3, seed=35))
     with pytest.raises(ValueError):
         canonicalize_mixed_2x2(f)
+
+
+@pytest.mark.parametrize("route", [pure_stratum, omega, schmidt_pure, concurrence_pure, amplitude_matrix])
+@pytest.mark.parametrize("amp", [[np.nan, 0, 0, 0], [np.inf, 0, 0, 0], [1, 0, 0, 0.5]],
+                         ids=["nan", "inf", "unnormalised"])
+def test_raw_amplitudes_get_the_pure_state_contract(route, amp):
+    # these returned "generic" (theta NaN) and "max_entangled" (norm 1.118)
+    with pytest.raises(ValueError, match="normalized"):
+        route(np.array(amp))
 
 
 def test_orbit_sample_families():

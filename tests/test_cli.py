@@ -163,11 +163,10 @@ def test_analyze_rejects_non_finite_bloch_coefficient(tmp_path, capsys):
     assert code == 2 and out == "" and "non-finite" in err and "Traceback" not in err
 
 
-def test_analyze_solves_the_state_spectrum_once(bell_file, capsys, monkeypatch):
-    # eigvalsh: the state spectrum (validate_density, reused by weyl_cell),
-    # unit_spectrum, the Gram and the partial-transpose spectra; eigh:
-    # xi_spectra and the pure canonical form
-    _, want, _ = _run(capsys, ["analyze", str(bell_file)])
+def _solver_calls(capsys, monkeypatch, argv):
+    """Run argv twice, the second time counting eigvalsh and eigh calls;
+    both runs must print the same output."""
+    _, want, _ = _run(capsys, argv)
     calls = {"eigvalsh": 0, "eigh": 0}
     for name in calls:
         solver = getattr(np.linalg, name)
@@ -177,9 +176,23 @@ def test_analyze_solves_the_state_spectrum_once(bell_file, capsys, monkeypatch):
             return _solver(*args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, counting)
-    code, out, _ = _run(capsys, ["analyze", str(bell_file)])
+    code, out, _ = _run(capsys, argv)
     assert code == 0 and out == want
+    return calls
+
+
+def test_analyze_solves_the_state_spectrum_once(bell_file, capsys, monkeypatch):
+    # eigvalsh: the state spectrum (validate_density, reused by weyl_cell),
+    # unit_spectrum, the Gram and the partial-transpose spectra; eigh:
+    # xi_spectra and the pure canonical form
+    calls = _solver_calls(capsys, monkeypatch, ["analyze", str(bell_file)])
     assert calls == {"eigvalsh": 4, "eigh": 2}
+
+
+def test_ball_check_solves_the_state_spectrum_once(bell_file, capsys, monkeypatch):
+    # the unit spectrum comes from the spectrum validate_density returns
+    calls = _solver_calls(capsys, monkeypatch, ["ball-check", str(bell_file)])
+    assert calls == {"eigvalsh": 1, "eigh": 0}
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "-1e-9", "abc"])

@@ -26,7 +26,7 @@ from orbit_atlas import (
     tangent_vectors,
 )
 
-SPLITS = [(2, 2), (2, 3), (3, 2), (3, 4), (4, 5)]
+SPLITS = [(2, 2), (2, 3), (3, 2), (3, 4), (4, 4), (4, 5), (5, 2), (5, 5)]
 
 
 def _local_ops(k, m):
@@ -107,6 +107,25 @@ def test_gram_direct_matches_trace_loop(k, m):
         assert orbit_dim_oracle(w) == rep.rank
 
 
+def _toward_mixed(k, m, s):
+    w = random_state("mixed", k, m, seed=50 * k + m)
+    mix = np.eye(k * m) / (k * m)
+    return DensityMatrix(k, m, mix + s * (w.matrix - mix))
+
+
+@pytest.mark.parametrize("w,rank", [
+    (pure_density(random_state("pure", 5, 5, seed=55)), 44),
+    (pure_density(random_state("pure", 2, 3, seed=23)), 9),
+    (_toward_mixed(3, 3, 1e-6), 16),
+    (_toward_mixed(4, 5, 1e-6), 39),
+], ids=["pure-5x5", "pure-2x3", "near-mixed-3x3", "near-mixed-4x5"])
+def test_oracle_rank_matches_gram_on_degenerate_states(w, rank):
+    # a generic pure K x M state (K <= M) has a (K - 1) + (M - K)^2 dimensional
+    # stabiliser in su(K) + su(M); near I/N the Gram matrix shrinks by s^2
+    assert gram_direct(w).rank == rank
+    assert orbit_dim_oracle(w) == rank
+
+
 def test_commutator_routes_reject_non_hermitian():
     mat = random_state("mixed", 2, 3, seed=4).matrix.copy()
     mat[0, 1] += 0.1
@@ -129,7 +148,7 @@ def test_bloch_contractions_match_kron_loops(k, m):
         _assert_close(compose_bloch(form).matrix, _loop_compose(form))
 
 
-@pytest.mark.parametrize("k,m", SPLITS + [(5, 5)])
+@pytest.mark.parametrize("k,m", SPLITS)
 def test_closed_form_products_match_einsum_formulas(k, m):
     f = decompose_bloch(random_state("mixed", k, m, seed=40 * k + m))
     _assert_close(gram_closed_form(f).matrix, _einsum_closed_form(f))

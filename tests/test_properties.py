@@ -13,10 +13,12 @@ from orbit_atlas import (  # noqa: E402
     apply_local_unitary,
     DensityMatrix,
     compose_bloch,
+    concurrence_mixed,
     decompose_bloch,
     gram_closed_form,
     gram_direct,
     orbit_dim_oracle,
+    ppt_check,
     pure_density,
     random_local_unitary,
     random_state,
@@ -27,9 +29,9 @@ PROPERTY = settings(derandomize=True, database=None, max_examples=40, deadline=N
 
 
 @st.composite
-def states(draw):
-    k = draw(st.integers(2, 4))
-    m = draw(st.integers(2, 4))
+def states(draw, max_dim=4):
+    k = draw(st.integers(2, max_dim))
+    m = draw(st.integers(2, max_dim))
     kind = draw(st.sampled_from(["mixed", "pure"]))
     seed = draw(st.integers(0, 2**32 - 1))
     w = random_state(kind, k, m, seed)
@@ -53,6 +55,21 @@ def test_gram_spectrum_is_local_unitary_invariant(w, seed):
     before, after = gram_direct(w), gram_direct(moved)
     _spectra_close(after.spectrum, before.spectrum)
     assert after.rank == before.rank
+
+
+@PROPERTY
+@given(states(max_dim=2), st.integers(0, 2**32 - 1))
+def test_concurrence_is_local_unitary_invariant(w, seed):
+    moved = apply_local_unitary(w, random_local_unitary(2, 2, seed))
+    assert abs(concurrence_mixed(moved) - concurrence_mixed(w)) <= 1e-12
+
+
+@PROPERTY
+@given(states(), st.integers(0, 2**32 - 1))
+def test_partial_transpose_spectrum_is_local_unitary_invariant(w, seed):
+    # (U_A x U_B) W (U_A x U_B)^dag has partial transpose conjugated by U_A x conj(U_B)
+    moved = apply_local_unitary(w, random_local_unitary(w.k, w.m, seed))
+    _spectra_close(ppt_check(moved).spectrum, ppt_check(w).spectrum)
 
 
 @PROPERTY
