@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+from dataclasses import asdict
 import sys
 from pathlib import Path
 
@@ -35,12 +36,14 @@ from .entanglement import (
     ppt_check,
     pt_spectra,
     purities,
+    unit_spectrum,
 )
 from .gram import RANK_TOL, gram_direct
 from .canonical import canonicalize_mixed_2x2, pure_stratum
 from .states import (
     BlochForm,
     DensityMatrix,
+    _check_tol,
     compose_bloch,
     bloch_to_json,
     bloch_from_json,
@@ -75,12 +78,9 @@ def _fmt(x: float) -> str:
 def _tolerance(text: str) -> float:
     """argparse type for --tol: a finite, nonnegative float."""
     try:
-        value = float(text)
+        return _check_tol(float(text))
     except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"invalid tolerance {text!r}") from exc
-    if not np.isfinite(value) or value < 0.0:
-        raise argparse.ArgumentTypeError(f"tolerance must be finite and nonnegative, got {text!r}")
-    return value
+        raise argparse.ArgumentTypeError(f"invalid tolerance {text!r}: {exc}") from exc
 
 
 def _default_seed() -> int:
@@ -163,7 +163,7 @@ def _cmd_analyze(args) -> int:
     f = decompose_bloch(w)
     gram = gram_direct(w, args.tol)
     cell = weyl_cell(spectrum)
-    ent = entanglement_report(w)
+    ent = entanglement_report(w, spectrum)
     report = {
         "k": w.k,
         "m": w.m,
@@ -188,8 +188,7 @@ def _cmd_analyze(args) -> int:
         "canonical": _canonical_payload(w, f),
         "effective_dim": cell.global_dim - gram.rank,
     }
-    json.dump(report, sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    print(json.dumps(report, indent=2))
     return 0
 
 
@@ -250,11 +249,8 @@ def _cmd_appendix_verify(args) -> int:
         sys.stdout.write(payload)
     for cid in case_ids:
         case = report["cases"][str(cid)]
-        if case["all_match"]:
-            line = f"case {cid}: ok"
-        else:
-            line = f"case {cid}: MISMATCH ({', '.join(case['typo_candidates']) or 'flags'})"
-        print(line, file=sys.stderr)
+        status = "ok" if case["all_match"] else f"MISMATCH ({', '.join(case['typo_candidates']) or 'flags'})"
+        print(f"case {cid}: {status}", file=sys.stderr)
     return 0 if report["all_match"] else 3
 
 
@@ -275,19 +271,10 @@ def _cmd_random_scan(args) -> int:
                 w = pure_density(w)
             gram = gram_direct(w, args.tol)
             hits += gram.rank == d_max
-            row = [
-                str(i),
-                str(gram.rank),
-                _fmt(gram.spectrum[0]),
-                _fmt(gram.spectrum[-1]),
-                ppt_check(w).verdict,
-            ]
-            fh.write(",".join(row) + "\n")
+            lo, hi = _fmt(gram.spectrum[0]), _fmt(gram.spectrum[-1])
+            fh.write(f"{i},{gram.rank},{lo},{hi},{ppt_check(w).verdict}\n")
     frac = hits / args.count
-    print(
-        f"local_dim={d_max} attained by {hits}/{args.count} samples (fraction {frac:.6f})",
-        file=sys.stderr,
-    )
+    print(f"local_dim={d_max} attained by {hits}/{args.count} samples (fraction {frac:.6f})", file=sys.stderr)
     return 0
 
 
@@ -295,18 +282,7 @@ def _cmd_dims(args) -> int:
     if args.k < 2 or args.m < 2:
         raise _CliError("subsystem dimensions must be at least 2")
     rep = dims_report(args.k, args.m)
-    json.dump(
-        {
-            "k": args.k,
-            "m": args.m,
-            "max_local_dim": rep.max_local_dim,
-            "generic_global_dim": rep.generic_global_dim,
-            "effective_dim": rep.effective_dim,
-        },
-        sys.stdout,
-        indent=2,
-    )
-    sys.stdout.write("\n")
+    print(json.dumps({"k": args.k, "m": args.m, **asdict(rep)}, indent=2))
     return 0
 
 
@@ -317,8 +293,7 @@ def _cmd_ball_check(args) -> int:
         w, _, spectrum = _load_state(args.input)
         n = w.dim
         purity = float(purities(w.matrix))
-        spec = spectrum[::-1].clip(0.0, None)  # unit_spectrum(w), from the spectrum in hand
-        spec = spec / spec.sum()
+        spec = unit_spectrum(w, spectrum)
     else:
         try:
             spec = np.sort(np.array([float(s) for s in args.spectrum.split(",")]))[::-1]
@@ -339,8 +314,7 @@ def _cmd_ball_check(args) -> int:
         "cstar": float(cstar(spec)) if n == 4 else None,
         "absolutely_separable": absolutely_separable(spec, args.tol) if n == 4 else None,
     }
-    json.dump(out, sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    print(json.dumps(out, indent=2))
     return 0
 
 

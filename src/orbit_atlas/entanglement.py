@@ -32,7 +32,7 @@ import numpy as np
 
 from .algebra import partial_transpose
 from .canonical import omega
-from .states import BlochForm, DensityMatrix, _require_2x2, _require_diagonal_g
+from .states import BlochForm, DensityMatrix, _check_tol, _require_2x2, _require_diagonal_g
 
 __all__ = [
     "concurrence_pure",
@@ -148,6 +148,12 @@ def pt_spectra(mats: np.ndarray, k: int, m: int) -> np.ndarray:
     return np.linalg.eigvalsh(partial_transpose(mats, k, m))
 
 
+def _ppt_verdict(min_eig: float, k: int, m: int) -> str:
+    if min_eig < -PPT_TOL:
+        return "entangled"
+    return "separable" if (k, m) in {(2, 2), (2, 3), (3, 2)} else "ppt_undecided"
+
+
 def ppt_check(w: DensityMatrix) -> PPTResult:
     """Positivity of the partial transpose.
 
@@ -156,13 +162,7 @@ def ppt_check(w: DensityMatrix) -> PPTResult:
     and is reported as "ppt_undecided" otherwise.
     """
     spec = pt_spectra(w.matrix, w.k, w.m)
-    if spec[0] < -PPT_TOL:
-        verdict = "entangled"
-    elif (w.k, w.m) in {(2, 2), (2, 3), (3, 2)}:
-        verdict = "separable"
-    else:
-        verdict = "ppt_undecided"
-    return PPTResult(spectrum=spec, verdict=verdict)
+    return PPTResult(spectrum=spec, verdict=_ppt_verdict(spec[0], w.k, w.m))
 
 
 def char_coeffs(f: BlochForm, transposed: bool = False) -> np.ndarray:
@@ -262,16 +262,17 @@ def absolutely_separable(spectrum, tol: float = 1e-12) -> str:
     """
     r = np.sort(np.asarray(spectrum, dtype=float).reshape(-1))[::-1]
     value = cstar(r)
-    if value > tol:
+    if value > _check_tol(tol):
         return "no"
     rank = int(np.sum(r > max(r[0], 1.0) * 1e-12))
     return "yes" if rank <= 3 else "yes_conjectural"
 
 
-def unit_spectrum(w: DensityMatrix) -> np.ndarray:
+def unit_spectrum(w: DensityMatrix, spectrum=None) -> np.ndarray:
     """Eigenvalues of w clipped at zero, sorted descending and normalised
-    to unit sum: the spectrum that cstar and absolutely_separable take."""
-    spec = np.sort(np.linalg.eigvalsh(w.matrix).clip(0.0, None))[::-1]
+    to unit sum: the spectrum that cstar and absolutely_separable take.
+    A caller that holds w's ascending spectrum passes it as spectrum."""
+    spec = (np.linalg.eigvalsh(w.matrix) if spectrum is None else spectrum)[::-1].clip(0.0, None)
     return spec / spec.sum()
 
 
@@ -288,14 +289,15 @@ class EntanglementReport:
     absolutely_separable: str | None
 
 
-def entanglement_report(w: DensityMatrix) -> EntanglementReport:
-    """Collect the diagnostics available for the given bipartition."""
+def entanglement_report(w: DensityMatrix, spectrum=None) -> EntanglementReport:
+    """Collect the diagnostics available for the given bipartition; spectrum
+    is w's ascending spectrum if the caller holds it (see unit_spectrum)."""
     ppt = ppt_check(w)
     c = eof = star = verdict = None
     if (w.k, w.m) == (2, 2):
         c = concurrence_mixed(w)
         eof = entanglement_of_formation(c)
-        spec = unit_spectrum(w)
+        spec = unit_spectrum(w, spectrum)
         star, verdict = cstar(spec), absolutely_separable(spec)
     return EntanglementReport(
         concurrence=c,

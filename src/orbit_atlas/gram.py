@@ -6,10 +6,12 @@ Their Gram matrix C_{mn} = 1/2 Tr(W_m W_n) is real symmetric and positive
 semidefinite, of size K^2 + M^2 - 2; its rank is the orbit dimension.
 
 ``tangent_vectors`` builds the Hermitian (K^2 + M^2 - 2, KM, KM) stack from four
-matrix products of W with the su(K) and su(M) generator stacks.  Each W_m becomes
-one real row of (KM)^2 Hermitian coordinates, diag W_m and sqrt2 Re, sqrt2 Im of
-its strict upper triangle, so Tr(W_m W_n) is a dot product of rows: ``gram_direct``
-is rows @ rows.T / 2 and ``orbit_dim_oracle`` takes the rows' singular values.
+matrix products of W with the su(K) and su(M) generator stacks; the same kernel
+takes any (..., KM, KM) stack of Ws.  Each W_m becomes one real row of (KM)^2
+Hermitian coordinates, diag W_m and sqrt2 Re, sqrt2 Im of its strict upper
+triangle, so Tr(W_m W_n) is a dot product of rows: ``gram_direct`` (``gram_stack``
+for a stack of Ws) is rows @ rows.T / 2 and ``orbit_dim_oracle`` takes the rows'
+singular values.
 
 ``gram_closed_form`` evaluates C directly from the Bloch coefficients,
 
@@ -37,13 +39,14 @@ from functools import lru_cache
 import numpy as np
 
 from .algebra import structure_constants, su_generators
-from .states import BlochForm, DensityMatrix, _gens, _require_2x2, _require_diagonal_g
+from .states import BlochForm, DensityMatrix, _check_tol, _gens, _require_2x2, _require_diagonal_g
 
 __all__ = [
     "RANK_TOL",
     "GramReport",
     "GramSplit2x2",
     "tangent_vectors",
+    "gram_stack",
     "gram_direct",
     "gram_closed_form",
     "local_orbit_dim",
@@ -99,21 +102,26 @@ def _consts(n: int) -> np.ndarray:
     return structure_constants(list(su_generators(n)))
 
 
-def tangent_vectors(w: DensityMatrix) -> np.ndarray:
-    """Commutators [e_j x I, W] followed by [I x f_alpha, W], as one
-    (K^2 + M^2 - 2, KM, KM) stack, Hermitian when W is; iterating it
-    yields the commutators one by one."""
-    k, m, n = w.k, w.m, w.dim
-    e, f, mat = _gens(k), _gens(m), w.matrix
-    t = np.empty((len(e) + len(f), n, n), dtype=complex)
-    ta, tb = t[: len(e)], t[len(e) :]
+def _commutators(mats: np.ndarray, k: int, m: int) -> np.ndarray:
+    """[e_j x I, W] then [I x f_alpha, W] for each W of a (..., KM, KM) stack,
+    as a (..., K^2 + M^2 - 2, KM, KM) stack."""
+    e, f, n = _gens(k), _gens(m), k * m
+    lead, x, y = mats.shape[:-2], len(e), len(f)
+    t = np.empty((*lead, x + y, n, n), dtype=complex)
+    ta, tb = t[..., :x, :, :], t[..., x:, :, :]
     # X W multiplies X into a factor of W's row index, W X into one of its column index
-    np.matmul(e.reshape(-1, k), mat.reshape(k, -1), out=ta.reshape(-1, m * n))
-    np.matmul(f[:, None], mat.reshape(k, m, n), out=tb.reshape(-1, k, m, n))
-    tb -= (mat.reshape(n * k, m) @ f).reshape(-1, n, n)
-    wx = mat.reshape(n, k, m).transpose(0, 2, 1).reshape(n * m, k) @ e
-    ta.reshape(-1, n, k, m)[...] -= wx.reshape(-1, n, m, k).transpose(0, 1, 3, 2)
+    np.matmul(e.reshape(x * k, k), mats.reshape(*lead, k, m * n), out=ta.reshape(*lead, x * k, m * n))
+    np.matmul(f[:, None], mats.reshape(*lead, 1, k, m, n), out=tb.reshape(*lead, y, k, m, n))
+    tb -= (mats.reshape(*lead, 1, n * k, m) @ f).reshape(*lead, y, n, n)
+    wx = mats.reshape(*lead, n, k, m).swapaxes(-1, -2).reshape(*lead, 1, n * m, k) @ e
+    ta.reshape(*lead, x, n, k, m)[...] -= wx.reshape(*lead, x, n, m, k).swapaxes(-1, -2)
     return t
+
+
+def tangent_vectors(w: DensityMatrix) -> np.ndarray:
+    """Commutators [e_j x I, W] followed by [I x f_alpha, W], as one (K^2 + M^2 - 2,
+    KM, KM) stack, Hermitian when W is; iterating it yields them one by one."""
+    return _commutators(w.matrix, w.k, w.m)
 
 
 @lru_cache(maxsize=16)
@@ -125,30 +133,39 @@ def _hermitian_coords(n: int) -> np.ndarray:
     return coords
 
 
-def _tangent_rows(w: DensityMatrix) -> np.ndarray:
+def _tangent_rows(mats: np.ndarray, k: int, m: int) -> np.ndarray:
     # diag T, sqrt2 Re and sqrt2 Im of T's strict upper triangle: row_m . row_n = Tr(T_m T_n).
     # One triangle loses nothing: DensityMatrix holds W, and so T, Hermitian to 1e-8.
-    t = tangent_vectors(w)
-    rows = t.reshape(len(t), -1).view(float)[:, _hermitian_coords(w.dim)]
-    rows[:, w.dim :] *= np.sqrt(2.0)
+    t = _commutators(mats, k, m)
+    rows = t.reshape(*t.shape[:-2], t.shape[-1] ** 2).view(float)[..., _hermitian_coords(k * m)]
+    rows[..., k * m :] *= np.sqrt(2.0)
     return rows
 
 
-def _spectral_rank(spectrum: np.ndarray, tol: float) -> int:
-    top = float(spectrum.max(initial=0.0))
-    return int(np.sum(spectrum > tol * top)) if top > _ROUNDING_FLOOR else 0
+def _spectral_rank(spectrum: np.ndarray, tol: float):
+    """Eigenvalues above tol * lambda_max per spectrum (last axis), 0 at or below
+    the rounding floor; an int for one spectrum."""
+    top = spectrum.max(axis=-1, initial=0.0)
+    rank = (spectrum > tol * top[..., None]).sum(axis=-1) * (top > _ROUNDING_FLOOR)
+    return rank if rank.ndim else int(rank)
 
 
-def _report(k: int, m: int, c: np.ndarray, tol: float) -> GramReport:
-    c = 0.5 * (c + c.T)
+def _symmetric_spectra(c: np.ndarray, tol: float) -> tuple:
+    c = 0.5 * (c + c.mT)
     spectrum = np.linalg.eigvalsh(c)
-    return GramReport(k, m, c, spectrum, _spectral_rank(spectrum, tol))
+    return c, spectrum, _spectral_rank(spectrum, tol)
+
+
+def gram_stack(mats: np.ndarray, k: int, m: int, tol: float = RANK_TOL) -> tuple:
+    """Commutator Gram matrices of a (..., KM, KM) stack of Hermitian matrices
+    with their ascending spectra and ranks: gram_direct of each, in one pass."""
+    rows = _tangent_rows(mats, k, m)
+    return _symmetric_spectra(0.5 * rows @ rows.mT, _check_tol(tol))
 
 
 def gram_direct(w: DensityMatrix, tol: float = RANK_TOL) -> GramReport:
     """Gram matrix C_{mn} = 1/2 Tr(W_m W_n) from explicit commutators of a Hermitian W."""
-    rows = _tangent_rows(w)
-    return _report(w.k, w.m, 0.5 * rows @ rows.T, tol)
+    return GramReport(w.k, w.m, *gram_stack(w.matrix, w.k, w.m, tol))
 
 
 def _closed_form_matrix(f: BlochForm) -> np.ndarray:
@@ -167,7 +184,7 @@ def _closed_form_matrix(f: BlochForm) -> np.ndarray:
 
 def gram_closed_form(f: BlochForm) -> GramReport:
     """Gram matrix evaluated from the Bloch coefficients, no commutators."""
-    return _report(f.k, f.m, _closed_form_matrix(f), RANK_TOL)
+    return GramReport(f.k, f.m, *_symmetric_spectra(_closed_form_matrix(f), RANK_TOL))
 
 
 def local_orbit_dim(report: GramReport) -> int:
@@ -178,7 +195,7 @@ def local_orbit_dim(report: GramReport) -> int:
 def orbit_dim_oracle(w: DensityMatrix) -> int:
     """Orbit dimension from an independent route: rank of the tangent vectors'
     Hermitian-coordinate rows from their singular values, thresholded as squares."""
-    s2 = np.linalg.svd(_tangent_rows(w), compute_uv=False) ** 2
+    s2 = np.linalg.svd(_tangent_rows(w.matrix, w.k, w.m), compute_uv=False) ** 2
     return _spectral_rank(s2, RANK_TOL)
 
 

@@ -15,6 +15,7 @@ real exactly when W is Hermitian.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -29,6 +30,7 @@ __all__ = [
     "validate_density",
     "pure_density",
     "maximally_mixed",
+    "bloch_matrices",
     "compose_bloch",
     "decompose_bloch",
     "schmidt_vector",
@@ -47,6 +49,13 @@ __all__ = [
 ]
 
 PSD_TOL = 1e-10
+
+
+def _check_tol(tol: float) -> float:
+    """tol as a float; ValueError unless it is finite and nonnegative."""
+    if not 0.0 <= tol < math.inf:
+        raise ValueError(f"tol must be finite and nonnegative, got {tol!r}")
+    return float(tol)
 
 
 @dataclass(frozen=True)
@@ -163,15 +172,22 @@ def maximally_mixed(k: int, m: int) -> DensityMatrix:
     return DensityMatrix(k, m, np.eye(k * m, dtype=complex) / (k * m))
 
 
+def bloch_matrices(k: int, m: int, a, b, g) -> np.ndarray:
+    """Matrices I/(km) + i a.e x I + i I x b.f + G.(e x f) of stacked Bloch
+    coefficients a (..., k^2-1), b (..., m^2-1), g (..., k^2-1, m^2-1), as a
+    (..., km, km) complex stack (a single matrix for unstacked coefficients)."""
+    e, ff = _gens(k), _gens(m).reshape(m * m - 1, m * m)
+    lead = np.shape(g)[:-2]
+    left = np.eye(k) / (k * m) + 1j * (a @ e.reshape(k * k - 1, k * k)).reshape(*lead, k, k)
+    w = np.einsum("xij,...xab->...iajb", e, (g @ ff).reshape(*lead, k * k - 1, m, m))
+    w += left[..., :, None, :, None] * np.eye(m)[:, None, :]
+    w += np.eye(k)[:, None, :, None] * (1j * (b @ ff)).reshape(*lead, 1, m, 1, m)
+    return w.reshape(*lead, k * m, k * m)
+
+
 def compose_bloch(f: BlochForm) -> DensityMatrix:
-    """Build the density matrix of a Bloch form."""
-    k, m = f.k, f.m
-    e, fa = _gens(k), _gens(m)
-    left = np.eye(k) / (k * m) + 1j * np.tensordot(f.a, e, 1)
-    w = np.einsum("xij,xab->iajb", e, np.tensordot(f.g, fa, 1))
-    w += np.einsum("ij,ab->iajb", left, np.eye(m))
-    w += np.einsum("ij,ab->iajb", np.eye(k), 1j * np.tensordot(f.b, fa, 1))
-    return DensityMatrix(k, m, w.reshape(k * m, k * m))
+    """Build the density matrix of a Bloch form (see bloch_matrices)."""
+    return DensityMatrix(f.k, f.m, bloch_matrices(f.k, f.m, f.a, f.b, f.g))
 
 
 def decompose_bloch(w: DensityMatrix) -> BlochForm:
@@ -311,13 +327,7 @@ def state_from_json(payload) -> DensityMatrix:
 
 def bloch_to_json(f: BlochForm) -> str:
     """Serialize a Bloch form as JSON with plain real arrays."""
-    return json.dumps({
-        "k": f.k,
-        "m": f.m,
-        "a": [float(x) for x in f.a],
-        "b": [float(x) for x in f.b],
-        "g": [[float(x) for x in row] for row in f.g],
-    })
+    return json.dumps({"k": f.k, "m": f.m, "a": f.a.tolist(), "b": f.b.tolist(), "g": f.g.tolist()})
 
 
 def bloch_from_json(payload) -> BlochForm:

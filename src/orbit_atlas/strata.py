@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .states import _check_tol
+
 __all__ = ["WeylCell", "weyl_cell", "DimsReport", "dims_report", "effective_dim"]
 
 
@@ -34,7 +36,7 @@ def weyl_cell(spectrum, tol: float = 1e-9) -> WeylCell:
     spans more than tol however many small gaps it holds (absolute; spectra
     are unit trace, so this is also the scale-relative rule).
     """
-    r = np.asarray(spectrum, dtype=float).reshape(-1)
+    tol, r = _check_tol(tol), np.asarray(spectrum, dtype=float).reshape(-1)
     if r.size < 2:
         raise ValueError("spectrum needs at least two eigenvalues")
     if not np.all(np.isfinite(r)):

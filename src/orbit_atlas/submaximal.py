@@ -9,6 +9,12 @@ concurrence, and a separability claim.
 A case is one :class:`CaseSpec` row of ``CASES`` holding its predicted
 corank, its Bloch builder, its closed-form predictor and its parameter
 sampler; ``case_bloch``, ``case_predictions`` and ``sample_params`` look it up.
+Sampling runs in rounds: each draws the candidates still needed one by one,
+then composes them as one (B, 4, 4) stack and keeps the PSD ones in draw
+order, which consumes the seeded stream exactly as testing one at a time.
+``verify_cases`` checks each case's points as one stack (Gram, partial-
+transpose and spin-flip spectra in one call each); builders and predictors
+run per point, and ``verify_case`` is the one-point stack.
 
 The reference formulas are evaluated verbatim: the verification harness
 compares them against direct numerics and reports residuals, so a formula
@@ -24,14 +30,15 @@ exchanged; they share all orbit dimensions, see
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from .entanglement import concurrences_from_xi, ppt_check, xi_spectrum
-from .gram import gram_direct
-from .states import BlochForm, DensityMatrix, _rng, compose_bloch
+from .entanglement import _ppt_verdict, concurrences_from_xi, pt_spectra, xi_spectra
+from .gram import gram_stack
+from .states import BlochForm, DensityMatrix, _check_tol, _rng, bloch_matrices, compose_bloch
 
 __all__ = [
     "CaseSpec",
@@ -410,26 +417,39 @@ def sample_params(case_id: int, n: int, seed=None) -> list[dict]:
     generic stratum of its family; candidate draws outside the positivity
     domain are rejected against the exact spectrum.
     """
-    return [params for params, _, _, _ in _points(_spec(case_id), n, _rng(seed))]
+    return _points(_spec(case_id), n, _rng(seed))[0]
 
 
-def _points(spec: CaseSpec, n: int, rng: np.random.Generator):
-    """Yield (params, args, state, spectrum) per accepted draw, each computed once."""
-    accepted = attempts = 0
-    while accepted < n:
-        attempts += 1
-        if attempts > 200 * max(n, 1):
-            raise RuntimeError(f"case {spec.case_id}: positivity rejection is not converging")
-        draw = spec.sample(rng)
-        if draw is None:
+def _points(spec: CaseSpec, n: int, rng: np.random.Generator) -> tuple:
+    """Accepted draws in draw order: (params, args, (n, 4, 4) states, (n, 4) spectra).
+
+    A round draws n - accepted candidates and tests them as one stack; the
+    n-th acceptance can only be a round's last draw, so rounds consume the
+    stream, and reach the attempt cap, exactly as one-at-a-time testing.
+    """
+    params, args, attempts = [], [], 0
+    states, spectra = [np.empty((0, 4, 4), complex)], [np.empty((0, 4))]
+    while len(params) < n:
+        drawn = []
+        for _ in range(n - len(params)):
+            attempts += 1
+            if attempts > 200 * max(n, 1):
+                raise RuntimeError(f"case {spec.case_id}: positivity rejection is not converging")
+            draw = spec.sample(rng)
+            if draw is not None:
+                drawn.append(dict(zip(spec.param_names, draw)))
+        if not drawn:
             continue
-        params = dict(zip(spec.param_names, draw))
-        args = _args(spec, params)
-        w = compose_bloch(spec.bloch(*args))
-        w_eigs = np.linalg.eigvalsh(w.matrix)
-        if w_eigs.min() >= -1e-12:
-            accepted += 1
-            yield params, args, w, w_eigs
+        drawn_args = [_args(spec, p) for p in drawn]
+        forms = [spec.bloch(*a) for a in drawn_args]
+        w = bloch_matrices(2, 2, *(np.array([getattr(f, x) for f in forms]) for x in "abg"))
+        w_eigs = np.linalg.eigvalsh(w)
+        keep = np.flatnonzero(w_eigs[:, 0] >= -1e-12)
+        params += [drawn[i] for i in keep]
+        args += [drawn_args[i] for i in keep]
+        states.append(w[keep])
+        spectra.append(w_eigs[keep])
+    return params, args, np.concatenate(states), np.concatenate(spectra)
 
 
 @dataclass(frozen=True)
@@ -447,27 +467,39 @@ class CaseVerdict:
     separability_match: bool
 
     def residuals(self) -> dict:
-        return {
-            "gram_eig": self.gram_eig_residual,
-            "w_eig": self.w_eig_residual,
-            "pt_eig": self.pt_eig_residual,
-            "xi": self.xi_residual,
-            "concurrence": self.concurrence_residual,
-        }
+        return {q: getattr(self, f"{q}_residual") for q in _QUANTITIES}
 
     def matches(self, tol: float) -> bool:
         vals = [v for v in self.residuals().values() if v is not None]
-        return (
-            all(v <= tol for v in vals)
-            and self.corank_match
-            and self.separability_match
-        )
+        return all(v <= tol for v in vals) and self.corank_match and self.separability_match
 
 
-def _multiset_residual(pred: np.ndarray, actual: np.ndarray) -> float:
-    p = np.sort_complex(np.asarray(pred, dtype=complex))
-    a = np.sort(np.asarray(actual, dtype=float))
-    return float(np.max(np.abs(p - a)))
+def _multiset_residuals(pred: list, actual: np.ndarray) -> np.ndarray:
+    """Max |sorted prediction - sorted value| of each row of a (B, n) stack."""
+    p = np.sort_complex(np.asarray(pred, dtype=complex).reshape(actual.shape))
+    return np.abs(p - np.sort(actual, axis=-1)).max(axis=-1)
+
+
+def _verify(spec: CaseSpec, args: list, w: np.ndarray, w_eigs: np.ndarray) -> dict:
+    """Residual and flag columns, in CaseVerdict order, of a case's (B, 4, 4)
+    stack of points; a NaN concurrence residual marks a point where the
+    catalog states no concurrence."""
+    preds = [spec.predict(*a) for a in args]
+    _, gram_eigs, ranks = gram_stack(w, 2, 2)
+    pt = pt_spectra(w, 2, 2)
+    xi = xi_spectra(w)
+    conc = np.array([np.nan if p.concurrence is None else p.concurrence for p in preds])
+    return {
+        "gram_eig": _multiset_residuals([p.gram_eigs for p in preds], gram_eigs),
+        "w_eig": _multiset_residuals([p.w_eigs for p in preds], w_eigs),
+        "pt_eig": _multiset_residuals([p.pt_eigs for p in preds], pt),
+        "xi": _multiset_residuals([p.xi for p in preds], xi),
+        "concurrence": np.abs(concurrences_from_xi(xi) - conc),
+        "corank_match": 6 - ranks == spec.corank,
+        "separability_match": np.array([
+            p.separability in (None, _ppt_verdict(low, 2, 2)) for p, low in zip(preds, pt[:, 0].tolist())
+        ], dtype=bool),
+    }
 
 
 def verify_case(case_id: int, params: dict) -> CaseVerdict:
@@ -479,44 +511,17 @@ def verify_case(case_id: int, params: dict) -> CaseVerdict:
     """
     spec = _spec(case_id)
     args = _args(spec, params)
-    w = compose_bloch(spec.bloch(*args))
-    return _verify(spec, params, args, w, np.linalg.eigvalsh(w.matrix))
-
-
-def _verify(spec: CaseSpec, params: dict, args: list, w: DensityMatrix,
-            w_eigs: np.ndarray) -> CaseVerdict:
-    pred = spec.predict(*args)
-    report = gram_direct(w)
-    ppt = ppt_check(w)
-    xi_actual = xi_spectrum(w)
-    if pred.concurrence is None:
-        conc_res = None
-    else:
-        conc_res = float(abs(concurrences_from_xi(xi_actual) - pred.concurrence))
-    if pred.separability is None:
-        sep_match = True
-    else:
-        sep_match = ppt.verdict == pred.separability
-    return CaseVerdict(
-        case_id=spec.case_id,
-        params=params,
-        gram_eig_residual=_multiset_residual(pred.gram_eigs, report.spectrum),
-        w_eig_residual=_multiset_residual(pred.w_eigs, w_eigs),
-        pt_eig_residual=_multiset_residual(pred.pt_eigs, ppt.spectrum),
-        xi_residual=_multiset_residual(pred.xi, xi_actual),
-        concurrence_residual=conc_res,
-        corank_match=(6 - report.rank) == spec.corank,
-        separability_match=sep_match,
-    )
+    w = compose_bloch(spec.bloch(*args)).matrix[None]
+    v = {q: col.item() for q, col in _verify(spec, [args], w, np.linalg.eigvalsh(w)).items()}
+    v["concurrence"] = None if math.isnan(v["concurrence"]) else v["concurrence"]
+    return CaseVerdict(spec.case_id, params, *v.values())
 
 
 def _jsonable(value):
+    """A float, or the floats of an array as a list, with non-finite values as None."""
     if isinstance(value, np.ndarray):
-        return [float(x) for x in value]
-    if isinstance(value, (np.floating, float)):
-        v = float(value)
-        return v if np.isfinite(v) else None
-    return value
+        return [_jsonable(v) for v in value.tolist()]
+    return value if math.isfinite(value) else None
 
 
 def verify_cases(case_ids=None, samples: int = 100, seed: int = 0, tol: float = 1e-9) -> dict:
@@ -524,43 +529,33 @@ def verify_cases(case_ids=None, samples: int = 100, seed: int = 0, tol: float = 
 
     Per case: every sampled point's residual vector and match flags, the
     maximal residual per quantity, and the list of quantities whose maximal
-    residual exceeds tol (the typo candidates).  Every case id is checked,
-    and repeated ids are rejected, before any point is sampled.
+    residual exceeds tol (the typo candidates).  Every case id and tol are
+    checked, and repeated ids are rejected, before any point is sampled.
     """
+    _check_tol(tol)
     specs = [_spec(cid) for cid in (sorted(CASES) if case_ids is None else case_ids)]
     if len({spec.case_id for spec in specs}) < len(specs):
         raise ValueError(f"repeated case id in {[spec.case_id for spec in specs]}")
     rng = np.random.default_rng(seed)
     report: dict = {"seed": seed, "samples": samples, "tol": tol, "cases": {}, "all_match": True}
     for spec in specs:
-        cid = spec.case_id
-        points = []
-        max_res: dict[str, float] = {q: 0.0 for q in _QUANTITIES}
-        flags_ok = True
-        for params, args, w, w_eigs in _points(spec, samples, rng):
-            v = _verify(spec, params, args, w, w_eigs)
-            res = v.residuals()
-            for q in _QUANTITIES:
-                if res[q] is not None:
-                    max_res[q] = max(max_res[q], res[q])
-            flags_ok = flags_ok and v.corank_match and v.separability_match
-            points.append(
-                {
-                    "params": {k: _jsonable(val) for k, val in params.items()},
-                    "residuals": {k: _jsonable(val) for k, val in res.items()},
-                    "corank_match": v.corank_match,
-                    "separability_match": v.separability_match,
-                }
-            )
+        params, args, w, w_eigs = _points(spec, samples, rng)
+        cols = _verify(spec, args, w, w_eigs)
+        # NaN residuals (no prediction) are skipped by fmax and written as null
+        max_res = {q: float(np.fmax.reduce(cols[q], initial=0.0)) for q in _QUANTITIES}
+        residuals = zip(*(_jsonable(cols[q]) for q in _QUANTITIES))
+        points = [
+            {"params": {k: _jsonable(v) for k, v in p.items()}, "residuals": dict(zip(_QUANTITIES, res)),
+             "corank_match": corank, "separability_match": sep}
+            for p, res, corank, sep in zip(
+                params, residuals, cols["corank_match"].tolist(), cols["separability_match"].tolist())
+        ]
         candidates = sorted(q for q, r in max_res.items() if r > tol)
-        case_ok = not candidates and flags_ok
-        report["cases"][str(cid)] = {
-            "description": spec.description,
-            "predicted_corank": spec.corank,
-            "points": points,
-            "max_residuals": {k: _jsonable(v) for k, v in max_res.items()},
-            "typo_candidates": candidates,
-            "all_match": case_ok,
+        case_ok = not candidates and bool(cols["corank_match"].all() and cols["separability_match"].all())
+        report["cases"][str(spec.case_id)] = {
+            "description": spec.description, "predicted_corank": spec.corank, "points": points,
+            "max_residuals": {q: _jsonable(r) for q, r in max_res.items()},
+            "typo_candidates": candidates, "all_match": case_ok,
         }
         report["all_match"] = report["all_match"] and case_ok
     return report

@@ -182,11 +182,11 @@ def _solver_calls(capsys, monkeypatch, argv):
 
 
 def test_analyze_solves_the_state_spectrum_once(bell_file, capsys, monkeypatch):
-    # eigvalsh: the state spectrum (validate_density, reused by weyl_cell),
-    # unit_spectrum, the Gram and the partial-transpose spectra; eigh:
+    # eigvalsh: the state spectrum (validate_density, reused by weyl_cell and
+    # entanglement_report), the Gram and the partial-transpose spectra; eigh:
     # xi_spectra and the pure canonical form
     calls = _solver_calls(capsys, monkeypatch, ["analyze", str(bell_file)])
-    assert calls == {"eigvalsh": 4, "eigh": 2}
+    assert calls == {"eigvalsh": 3, "eigh": 2}
 
 
 def test_ball_check_solves_the_state_spectrum_once(bell_file, capsys, monkeypatch):

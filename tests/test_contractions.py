@@ -2,7 +2,8 @@
 
 The loops below build every local operator e_j x I, I x f_alpha and
 e_j x f_alpha with its own ``np.kron`` and take one trace per entry; they
-are the reference the contractions in ``gram`` and ``states`` must match.
+are the reference the contractions in ``gram`` and ``states`` must match.  The stacked
+kernels must match the same references, and the scalar calls, state by state.
 The closed-form Gram blocks are checked against their index formulas
 written as einsums.  Non-square splits are included because a swapped
 index in the (k, m, k, m) reshape cancels out when k = m.
@@ -14,10 +15,12 @@ import pytest
 from orbit_atlas import (
     BlochForm,
     DensityMatrix,
+    bloch_matrices,
     compose_bloch,
     decompose_bloch,
     gram_closed_form,
     gram_direct,
+    gram_stack,
     orbit_dim_oracle,
     pure_density,
     random_state,
@@ -152,3 +155,39 @@ def test_bloch_contractions_match_kron_loops(k, m):
 def test_closed_form_products_match_einsum_formulas(k, m):
     f = decompose_bloch(random_state("mixed", k, m, seed=40 * k + m))
     _assert_close(gram_closed_form(f).matrix, _einsum_closed_form(f))
+
+
+@pytest.mark.parametrize("k,m", SPLITS)
+def test_stacked_compose_matches_kron_loops(k, m):
+    rng = np.random.default_rng(70 * k + m)
+    a = rng.standard_normal((3, k**2 - 1))
+    b = rng.standard_normal((3, m**2 - 1))
+    g = rng.standard_normal((3, k**2 - 1, m**2 - 1))
+    mats = bloch_matrices(k, m, a, b, g)
+    assert mats.shape == (3, k * m, k * m)
+    for i in range(3):
+        form = BlochForm(k, m, a[i], b[i], g[i])
+        _assert_close(mats[i], _loop_compose(form))
+        _assert_close(mats[i], compose_bloch(form).matrix, rel=1e-15)
+
+
+def _gram_test_stack(k, m):
+    # mixed, pure, rank-2 and maximally mixed (Gram rank 0) states
+    rng = np.random.default_rng(60 * k + m)
+    pure = [pure_density(random_state("pure", k, m, rng)).matrix for _ in range(2)]
+    mixed = [random_state("mixed", k, m, rng).matrix for _ in range(2)]
+    return np.array(mixed + pure + [0.5 * (pure[0] + pure[1]), np.eye(k * m) / (k * m)])
+
+
+@pytest.mark.parametrize("k,m", [(2, 2), (2, 3), (3, 3), (4, 4)])
+def test_gram_stack_matches_gram_direct_loop(k, m):
+    mats = _gram_test_stack(k, m)
+    c, spectra, ranks = gram_stack(mats, k, m)
+    d = k**2 + m**2 - 2
+    assert c.shape == (len(mats), d, d) and spectra.shape == (len(mats), d)
+    for i, mat in enumerate(mats):
+        rep = gram_direct(DensityMatrix(k, m, mat))
+        assert np.max(np.abs(c[i] - rep.matrix)) <= 1e-15 * max(1.0, np.max(np.abs(rep.matrix)))
+        assert np.max(np.abs(spectra[i] - rep.spectrum)) <= 1e-15 * max(1.0, rep.spectrum[-1])
+        assert ranks[i] == rep.rank
+    assert ranks[-1] == 0 and ranks[0] == d

@@ -5,6 +5,11 @@ import pytest
 
 from orbit_atlas import (
     BlochForm,
+    absolutely_separable,
+    gram_direct,
+    gram_stack,
+    verify_cases,
+    weyl_cell,
     DensityMatrix,
     PureState,
     apply_local_unitary,
@@ -239,3 +244,17 @@ def test_bloch_json_round_trip():
     np.testing.assert_allclose(back.g, f.g)
     with pytest.raises(ValueError):
         bloch_from_json(json.dumps({"k": 2, "m": 2, "a": [0, 0, 0]}))
+
+
+@pytest.mark.parametrize("tol", [np.nan, np.inf, -1e-9], ids=["nan", "inf", "negative"])
+@pytest.mark.parametrize("call", [
+    lambda tol: verify_cases([4], samples=1, tol=tol),
+    lambda tol: absolutely_separable([0.97, 0.01, 0.01, 0.01], tol=tol),
+    lambda tol: gram_direct(werner_state(0.5), tol),
+    lambda tol: gram_stack(werner_state(0.5).matrix, 2, 2, tol),
+    lambda tol: weyl_cell([0.5, 0.25, 0.25], tol=tol),
+], ids=["verify_cases", "absolutely_separable", "gram_direct", "gram_stack", "weyl_cell"])
+def test_library_tol_must_be_finite_and_nonnegative(call, tol):
+    # the rule of the CLI's --tol type; a NaN would otherwise compare False and pass
+    with pytest.raises(ValueError, match="tol must be finite and nonnegative"):
+        call(tol)

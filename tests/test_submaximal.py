@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from orbit_atlas import entanglement, submaximal
+from orbit_atlas import entanglement, states, submaximal
 from orbit_atlas import (
     CASES,
     case_bloch,
@@ -168,45 +168,101 @@ def test_verify_cases_rejects_repeated_ids_before_sampling(monkeypatch):
         verify_cases(case_ids=[2, 2], samples=2)
 
 
-def test_verify_cases_composes_each_point_once(monkeypatch):
+def _count_calls(monkeypatch, targets):
+    """Count calls to each (namespace, name) in targets, all into one list."""
     calls = []
-    compose_bloch = submaximal.compose_bloch
+    for namespace, name in targets:
+        def counting(*args, _fn=getattr(namespace, name), **kwargs):
+            calls.append(1)
+            return _fn(*args, **kwargs)
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return compose_bloch(*args, **kwargs)
+        monkeypatch.setattr(namespace, name, counting)
+    return calls
 
-    monkeypatch.setattr(submaximal, "compose_bloch", counting)
+
+# cases 1 and 2 never reject a draw, so each takes one sampling round
+
+
+def test_verify_cases_composes_each_round_once(monkeypatch):
+    calls = _count_calls(monkeypatch, [(submaximal, "bloch_matrices"), (submaximal, "compose_bloch"),
+                                       (states, "bloch_matrices")])
     verify_cases([1, 2], samples=10)
-    assert len(calls) == 20
+    assert len(calls) == 2
 
 
-def test_verify_case_solves_each_spin_flip_spectrum_once(monkeypatch):
-    calls = []
-    xi_spectra = entanglement.xi_spectra
-
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return xi_spectra(*args, **kwargs)
-
-    monkeypatch.setattr(entanglement, "xi_spectra", counting)
+def test_verify_cases_solves_spin_flip_spectra_once_per_case(monkeypatch):
+    calls = _count_calls(monkeypatch, [(entanglement, "xi_spectra"), (submaximal, "xi_spectra")])
     verify_cases([1, 2], samples=10)
-    assert len(calls) == 20
+    assert len(calls) == 2
 
 
-def test_verify_cases_solves_each_state_spectrum_once(monkeypatch):
-    # per point: the positivity check, the Gram spectrum and the PT spectrum;
-    # case 1 never rejects a draw
-    calls = []
-    eigvalsh = np.linalg.eigvalsh
-
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return eigvalsh(*args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+def test_verify_cases_solves_each_state_stack_once(monkeypatch):
+    # per round: the positivity check, the Gram spectra and the PT spectra
+    calls = _count_calls(monkeypatch, [(np.linalg, "eigvalsh")])
     verify_cases([1], samples=10)
-    assert len(calls) == 30
+    assert len(calls) == 3
+
+
+def _sequential_params(spec, n, rng):
+    """The one-candidate-at-a-time rejection loop that sampling rounds replace."""
+    out, attempts = [], 0
+    while len(out) < n:
+        attempts += 1
+        if attempts > 200 * max(n, 1):
+            raise RuntimeError(f"case {spec.case_id}: positivity rejection is not converging")
+        draw = spec.sample(rng)
+        if draw is None:
+            continue
+        params = dict(zip(spec.param_names, draw))
+        if np.linalg.eigvalsh(case_state(spec.case_id, params).matrix).min() >= -1e-12:
+            out.append(params)
+    return out
+
+
+def _param_bytes(points):
+    return [[(k, np.asarray(v).tobytes()) for k, v in p.items()] for p in points]
+
+
+@pytest.mark.parametrize("seed", (0, 3, 11))
+@pytest.mark.parametrize("n", (1, 7, 100))
+def test_sampling_rounds_keep_the_sequential_stream(n, seed):
+    for cid, spec in CASES.items():
+        want = _sequential_params(spec, n, np.random.default_rng(seed))
+        assert _param_bytes(sample_params(cid, n, seed=seed)) == _param_bytes(want), cid
+
+
+@pytest.mark.parametrize("n", (1, 7))
+def test_sampling_rounds_hit_the_attempt_cap_after_the_same_draws(monkeypatch, n):
+    draws = []
+
+    def never_psd(rng):
+        # mu = 0.3 puts an eigenvalue 0.25 - 0.3 below zero; every third draw is rejected early
+        draws.append(rng.uniform())
+        return None if len(draws) % 3 == 0 else (0.3,)
+
+    monkeypatch.setitem(CASES, 3, replace(CASES[3], sample=never_psd))
+    counts = []
+    for run in (lambda: _sequential_params(CASES[3], n, np.random.default_rng(0)),
+                lambda: sample_params(3, n, seed=0)):
+        draws.clear()
+        with pytest.raises(RuntimeError, match="not converging"):
+            run()
+        counts.append(len(draws))
+    assert counts == [200 * n, 200 * n]
+
+
+@pytest.mark.parametrize("seed", (0, 1, 7))
+def test_verify_cases_points_equal_verify_case(seed):
+    report = verify_cases(samples=100, seed=seed)
+    for cid, case in report["cases"].items():
+        for point in case["points"]:
+            v = verify_case(int(cid), point["params"])
+            assert v.corank_match is point["corank_match"]
+            assert v.separability_match is point["separability_match"]
+            for q, want in v.residuals().items():
+                got = point["residuals"][q]
+                assert (got is None) == (want is None), (cid, q)
+                assert got is None or abs(got - want) <= 1e-15, (cid, q, got, want)
 
 
 def test_sampled_params_follow_param_names():
