@@ -107,9 +107,9 @@ def _read_json(path: str) -> dict:
     return doc
 
 
-def _load_state(path: str) -> tuple[DensityMatrix, str, np.ndarray]:
-    """Read a state file; 'matrix' and Bloch ('g') payloads are accepted.
-    Returns the state, its payload format and its ascending spectrum."""
+def _load_state(path: str) -> tuple[DensityMatrix, str]:
+    """Read and validate a state file; 'matrix' and Bloch ('g') payloads are
+    accepted.  Returns the state and its payload format."""
     doc = _read_json(path)
     try:
         if "matrix" in doc:
@@ -118,10 +118,10 @@ def _load_state(path: str) -> tuple[DensityMatrix, str, np.ndarray]:
             w, fmt = compose_bloch(bloch_from_json(doc)), "bloch"
         else:
             raise ValueError("payload has neither a 'matrix' nor a 'g' key")
-        spectrum = validate_density(w)
+        validate_density(w)
     except ValueError as exc:
         raise _CliError(f"{path}: {exc}") from exc
-    return w, fmt, spectrum
+    return w, fmt
 
 
 def _open_out(path: str):
@@ -159,11 +159,11 @@ def _canonical_payload(w: DensityMatrix, f: BlochForm) -> dict | None:
 
 
 def _cmd_analyze(args) -> int:
-    w, fmt, spectrum = _load_state(args.input)
+    w, fmt = _load_state(args.input)
     f = decompose_bloch(w)
     gram = gram_direct(w, args.tol)
-    cell = weyl_cell(spectrum)
-    ent = entanglement_report(w, spectrum)
+    cell = weyl_cell(w.spectrum)
+    ent = entanglement_report(w)
     report = {
         "k": w.k,
         "m": w.m,
@@ -290,10 +290,8 @@ def _cmd_ball_check(args) -> int:
     if (args.input is None) == (args.spectrum is None):
         raise _CliError("give exactly one of INPUT or --spectrum")
     if args.input is not None:
-        w, _, spectrum = _load_state(args.input)
-        n = w.dim
-        purity = float(purities(w.matrix))
-        spec = unit_spectrum(w, spectrum)
+        w, _ = _load_state(args.input)
+        n, purity, spec = w.dim, float(purities(w.matrix)), unit_spectrum(w)
     else:
         try:
             spec = np.sort(np.array([float(s) for s in args.spectrum.split(",")]))[::-1]

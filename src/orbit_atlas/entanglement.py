@@ -268,11 +268,10 @@ def absolutely_separable(spectrum, tol: float = 1e-12) -> str:
     return "yes" if rank <= 3 else "yes_conjectural"
 
 
-def unit_spectrum(w: DensityMatrix, spectrum=None) -> np.ndarray:
+def unit_spectrum(w: DensityMatrix) -> np.ndarray:
     """Eigenvalues of w clipped at zero, sorted descending and normalised
-    to unit sum: the spectrum that cstar and absolutely_separable take.
-    A caller that holds w's ascending spectrum passes it as spectrum."""
-    spec = (np.linalg.eigvalsh(w.matrix) if spectrum is None else spectrum)[::-1].clip(0.0, None)
+    to unit sum: the spectrum that cstar and absolutely_separable take."""
+    spec = w.spectrum[::-1].clip(0.0, None)
     return spec / spec.sum()
 
 
@@ -289,15 +288,14 @@ class EntanglementReport:
     absolutely_separable: str | None
 
 
-def entanglement_report(w: DensityMatrix, spectrum=None) -> EntanglementReport:
-    """Collect the diagnostics available for the given bipartition; spectrum
-    is w's ascending spectrum if the caller holds it (see unit_spectrum)."""
+def entanglement_report(w: DensityMatrix) -> EntanglementReport:
+    """Collect the diagnostics available for the given bipartition."""
     ppt = ppt_check(w)
     c = eof = star = verdict = None
     if (w.k, w.m) == (2, 2):
         c = concurrence_mixed(w)
         eof = entanglement_of_formation(c)
-        spec = unit_spectrum(w, spectrum)
+        spec = unit_spectrum(w)
         star, verdict = cstar(spec), absolutely_separable(spec)
     return EntanglementReport(
         concurrence=c,

@@ -5,13 +5,15 @@ by the commutators W_j = [e_j x I, W] and W_alpha = [I x f_alpha, W].
 Their Gram matrix C_{mn} = 1/2 Tr(W_m W_n) is real symmetric and positive
 semidefinite, of size K^2 + M^2 - 2; its rank is the orbit dimension.
 
-``tangent_vectors`` builds the Hermitian (K^2 + M^2 - 2, KM, KM) stack from four
-matrix products of W with the su(K) and su(M) generator stacks; the same kernel
-takes any (..., KM, KM) stack of Ws.  Each W_m becomes one real row of (KM)^2
-Hermitian coordinates, diag W_m and sqrt2 Re, sqrt2 Im of its strict upper
-triangle, so Tr(W_m W_n) is a dot product of rows: ``gram_direct`` (``gram_stack``
-for a stack of Ws) is rows @ rows.T / 2 and ``orbit_dim_oracle`` takes the rows'
-singular values.
+``tangent_vectors`` builds the (K^2 + M^2 - 2, KM, KM) stack from two left products
+P = X W with the su(K) and su(M) generator stacks and their adjoints: X is
+antihermitian, so for Hermitian W, [X, W] = P + P^dag, Hermitian bit for bit (for the
+1e-8 anti-Hermitian part a DensityMatrix tolerates, P + P^dag is within O(1e-8) of
+[X, W], as rows read from one triangle of [X, W] are).  The same kernel takes any
+(..., KM, KM) stack of Ws.  Each W_m becomes one real row of (KM)^2 Hermitian
+coordinates, diag W_m and sqrt2 Re, sqrt2 Im of its strict upper triangle, so
+Tr(W_m W_n) is a dot product of rows: ``gram_direct`` (``gram_stack`` for a stack
+of Ws) is rows @ rows.T / 2 and ``orbit_dim_oracle`` takes the rows' singular values.
 
 ``gram_closed_form`` evaluates C directly from the Bloch coefficients,
 
@@ -103,24 +105,23 @@ def _consts(n: int) -> np.ndarray:
 
 
 def _commutators(mats: np.ndarray, k: int, m: int) -> np.ndarray:
-    """[e_j x I, W] then [I x f_alpha, W] for each W of a (..., KM, KM) stack,
-    as a (..., K^2 + M^2 - 2, KM, KM) stack."""
+    """[e_j x I, W] then [I x f_alpha, W] for each Hermitian W of a (..., KM, KM)
+    stack, as an exactly Hermitian (..., K^2 + M^2 - 2, KM, KM) stack."""
     e, f, n = _gens(k), _gens(m), k * m
     lead, x, y = mats.shape[:-2], len(e), len(f)
-    t = np.empty((*lead, x + y, n, n), dtype=complex)
-    ta, tb = t[..., :x, :, :], t[..., x:, :, :]
-    # X W multiplies X into a factor of W's row index, W X into one of its column index
-    np.matmul(e.reshape(x * k, k), mats.reshape(*lead, k, m * n), out=ta.reshape(*lead, x * k, m * n))
-    np.matmul(f[:, None], mats.reshape(*lead, 1, k, m, n), out=tb.reshape(*lead, y, k, m, n))
-    tb -= (mats.reshape(*lead, 1, n * k, m) @ f).reshape(*lead, y, n, n)
-    wx = mats.reshape(*lead, n, k, m).swapaxes(-1, -2).reshape(*lead, 1, n * m, k) @ e
-    ta.reshape(*lead, x, n, k, m)[...] -= wx.reshape(*lead, x, n, m, k).swapaxes(-1, -2)
-    return t
+    p = np.empty((*lead, x + y, n, n), dtype=complex)
+    pa, pb = p[..., :x, :, :], p[..., x:, :, :]
+    # X W multiplies X into one factor of W's row index
+    np.matmul(e.reshape(x * k, k), mats.reshape(*lead, k, m * n), out=pa.reshape(*lead, x * k, m * n))
+    np.matmul(f[:, None], mats.reshape(*lead, 1, k, m, n), out=pb.reshape(*lead, y, k, m, n))
+    # X antihermitian, W Hermitian: [X, W] = X W - W X = X W + (X W)^dag
+    p += p.conj().swapaxes(-1, -2)
+    return p
 
 
 def tangent_vectors(w: DensityMatrix) -> np.ndarray:
-    """Commutators [e_j x I, W] followed by [I x f_alpha, W], as one (K^2 + M^2 - 2,
-    KM, KM) stack, Hermitian when W is; iterating it yields them one by one."""
+    """Commutators [e_j x I, W] followed by [I x f_alpha, W] as X W + (X W)^dag, one exactly
+    Hermitian (K^2 + M^2 - 2, KM, KM) stack; iterating it yields them one by one."""
     return _commutators(w.matrix, w.k, w.m)
 
 
@@ -134,8 +135,7 @@ def _hermitian_coords(n: int) -> np.ndarray:
 
 
 def _tangent_rows(mats: np.ndarray, k: int, m: int) -> np.ndarray:
-    # diag T, sqrt2 Re and sqrt2 Im of T's strict upper triangle: row_m . row_n = Tr(T_m T_n).
-    # One triangle loses nothing: DensityMatrix holds W, and so T, Hermitian to 1e-8.
+    # diag T, sqrt2 Re and sqrt2 Im of T's strict upper triangle; T = T^dag: row_m . row_n = Tr(T_m T_n)
     t = _commutators(mats, k, m)
     rows = t.reshape(*t.shape[:-2], t.shape[-1] ** 2).view(float)[..., _hermitian_coords(k * m)]
     rows[..., k * m :] *= np.sqrt(2.0)
@@ -157,8 +157,8 @@ def _symmetric_spectra(c: np.ndarray, tol: float) -> tuple:
 
 
 def gram_stack(mats: np.ndarray, k: int, m: int, tol: float = RANK_TOL) -> tuple:
-    """Commutator Gram matrices of a (..., KM, KM) stack of Hermitian matrices
-    with their ascending spectra and ranks: gram_direct of each, in one pass."""
+    """Gram matrices of the tangent vectors X W + (X W)^dag of a (..., KM, KM) stack of
+    Hermitian Ws with their ascending spectra and ranks: gram_direct of each, in one pass."""
     rows = _tangent_rows(mats, k, m)
     return _symmetric_spectra(0.5 * rows @ rows.mT, _check_tol(tol))
 

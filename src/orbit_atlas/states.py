@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -85,6 +85,13 @@ class DensityMatrix:
     def dim(self) -> int:
         return self.k * self.m
 
+    @cached_property
+    def spectrum(self) -> np.ndarray:
+        """Ascending eigenvalues, solved on first use; read-only, like the matrix they belong to."""
+        spectrum = np.linalg.eigvalsh(self.matrix)
+        spectrum.flags.writeable = False
+        return spectrum
+
 
 @dataclass(frozen=True)
 class PureState:
@@ -149,17 +156,14 @@ def _require_diagonal_g(f: BlochForm, name: str) -> None:
 
 
 def validate_density(w: DensityMatrix) -> np.ndarray:
-    """Raise ValueError unless w has unit trace and is PSD within PSD_TOL;
-    return its ascending spectrum.  Finiteness and Hermiticity are checked
-    when the DensityMatrix is built."""
-    mat = w.matrix
-    tr = np.trace(mat).real
+    """Raise ValueError unless w has unit trace and is PSD within PSD_TOL; return w.spectrum.
+    Finiteness and Hermiticity are checked when the DensityMatrix is built."""
+    tr = np.trace(w.matrix).real
     if abs(tr - 1.0) > 1e-8:
         raise ValueError(f"trace is {tr}, expected 1")
-    spectrum = np.linalg.eigvalsh(mat)
-    if spectrum[0] < -PSD_TOL:
-        raise ValueError(f"matrix is not positive semidefinite (min eigenvalue {spectrum[0]})")
-    return spectrum
+    if w.spectrum[0] < -PSD_TOL:
+        raise ValueError(f"matrix is not positive semidefinite (min eigenvalue {w.spectrum[0]})")
+    return w.spectrum
 
 
 def pure_density(w: PureState) -> DensityMatrix:

@@ -80,16 +80,16 @@ class CaseSpec:
     """One catalog entry: constraint pattern, predicted Gram corank, and the
     family's Bloch builder, closed-form predictor and parameter sampler.
 
-    ``bloch`` and ``predict`` take the parameters in ``param_names`` order,
-    those in ``vectors`` as 3-vectors and the rest as floats.  ``sample``
-    draws one candidate in that order, or None for a draw it rejects early.
+    ``bloch`` (which returns the coefficients (a, b, G)) and ``predict`` take the
+    parameters in ``param_names`` order, those in ``vectors`` as 3-vectors and the
+    rest as floats.  ``sample`` draws one candidate in that order, or None to reject early.
     """
 
     case_id: int
     corank: int
     description: str
     param_names: tuple[str, ...]
-    bloch: Callable[..., BlochForm] = field(repr=False)
+    bloch: Callable[..., tuple] = field(repr=False)
     predict: Callable[..., CasePredictions] = field(repr=False)
     sample: Callable[[np.random.Generator], tuple | None] = field(repr=False)
     vectors: tuple[str, ...] = ()
@@ -306,26 +306,26 @@ def _sample_axial(rng: np.random.Generator) -> tuple | None:
 CASES: dict[int, CaseSpec] = {
     1: CaseSpec(
         1, 6, "maximally mixed: G = 0, a = b = 0", (),
-        lambda: BlochForm(2, 2, np.zeros(3), np.zeros(3), np.zeros((3, 3))),
+        lambda: (np.zeros(3), np.zeros(3), np.zeros((3, 3))),
         _predict_1,
         lambda rng: (),
     ),
     2: CaseSpec(
         2, 4, "one-sided polarization: G = 0, b = 0, a free", ("a",),
-        lambda a: BlochForm(2, 2, a, np.zeros(3), np.zeros((3, 3))),
+        lambda a: (a, np.zeros(3), np.zeros((3, 3))),
         _predict_2,
         lambda rng: (rng.uniform(0.02, 0.24) * _unit3(rng),),
         vectors=("a",),
     ),
     3: CaseSpec(
         3, 3, "isotropic correlations: G = mu I, a = b = 0", ("mu",),
-        lambda mu: BlochForm(2, 2, np.zeros(3), np.zeros(3), mu * np.eye(3)),
+        lambda mu: (np.zeros(3), np.zeros(3), mu * np.eye(3)),
         _predict_3,
         _sample_3,
     ),
     4: CaseSpec(
         4, 2, "uncorrelated polarizations: G = 0, a and b free", ("a", "b"),
-        lambda a, b: BlochForm(2, 2, a, b, np.zeros((3, 3))),
+        lambda a, b: (a, b, np.zeros((3, 3))),
         _predict_4,
         lambda rng: (
             rng.uniform(0.02, 0.11) * _unit3(rng),
@@ -335,7 +335,7 @@ CASES: dict[int, CaseSpec] = {
     ),
     5: CaseSpec(
         5, 2, "single-axis family: G = diag(mu,0,0), a, b along axis 1", ("mu", "a", "b"),
-        lambda mu, a, b: BlochForm(2, 2, [a, 0, 0], [b, 0, 0], np.diag([mu, 0.0, 0.0])),
+        lambda mu, a, b: ([a, 0, 0], [b, 0, 0], np.diag([mu, 0.0, 0.0])),
         _predict_5,
         lambda rng: (
             _signed(rng, 0.02, 0.12),
@@ -345,7 +345,7 @@ CASES: dict[int, CaseSpec] = {
     ),
     6: CaseSpec(
         6, 1, "single-axis G and a, free b: G = diag(mu,0,0), a = (a,0,0)", ("mu", "a", "b"),
-        lambda mu, a, b: BlochForm(2, 2, [a, 0, 0], b, np.diag([mu, 0.0, 0.0])),
+        lambda mu, a, b: ([a, 0, 0], b, np.diag([mu, 0.0, 0.0])),
         _predict_6,
         lambda rng: (
             _signed(rng, 0.02, 0.1),
@@ -356,7 +356,7 @@ CASES: dict[int, CaseSpec] = {
     ),
     7: CaseSpec(
         7, 1, "isotropic G with aligned polarizations: G = mu I, b = xi a", ("mu", "xi", "a"),
-        lambda mu, xi, a: BlochForm(2, 2, a, xi * a, mu * np.eye(3)),
+        lambda mu, xi, a: (a, xi * a, mu * np.eye(3)),
         _predict_7,
         lambda rng: (
             _signed(rng, 0.02, 0.06),
@@ -369,13 +369,13 @@ CASES: dict[int, CaseSpec] = {
     # printed formulas exchange the roles of mu1 and mu2 accordingly
     8: CaseSpec(
         8, 1, "axial G = diag(mu1, mu2, mu2), a, b along axis 1", ("mu1", "mu2", "a", "b"),
-        lambda mu1, mu2, a, b: BlochForm(2, 2, [a, 0, 0], [b, 0, 0], np.diag([mu1, mu2, mu2])),
+        lambda mu1, mu2, a, b: ([a, 0, 0], [b, 0, 0], np.diag([mu1, mu2, mu2])),
         lambda mu1, mu2, a, b: _predict_axial(mu1, mu2, mu1, mu2, a, b),
         _sample_axial,
     ),
     9: CaseSpec(
         9, 1, "planar G = diag(mu1, mu1, mu2), a, b along axis 3", ("mu1", "mu2", "a", "b"),
-        lambda mu1, mu2, a, b: BlochForm(2, 2, [0, 0, a], [0, 0, b], np.diag([mu1, mu1, mu2])),
+        lambda mu1, mu2, a, b: ([0, 0, a], [0, 0, b], np.diag([mu1, mu1, mu2])),
         lambda mu1, mu2, a, b: _predict_axial(mu2, mu1, mu1, mu2, a, b),
         _sample_axial,
     ),
@@ -396,7 +396,7 @@ def _args(spec: CaseSpec, params: dict) -> list:
 def case_bloch(case_id: int, params: dict) -> BlochForm:
     """Canonical Bloch form of a catalog point."""
     spec = _spec(case_id)
-    return spec.bloch(*_args(spec, params))
+    return BlochForm(2, 2, *spec.bloch(*_args(spec, params)))
 
 
 def case_state(case_id: int, params: dict) -> DensityMatrix:
@@ -417,39 +417,39 @@ def sample_params(case_id: int, n: int, seed=None) -> list[dict]:
     generic stratum of its family; candidate draws outside the positivity
     domain are rejected against the exact spectrum.
     """
-    return _points(_spec(case_id), n, _rng(seed))[0]
+    spec = _spec(case_id)
+    return [dict(zip(spec.param_names, draw)) for draw in _points(spec, n, _rng(seed))[0]]
 
 
 def _points(spec: CaseSpec, n: int, rng: np.random.Generator) -> tuple:
-    """Accepted draws in draw order: (params, args, (n, 4, 4) states, (n, 4) spectra).
+    """Accepted draws in draw order: (draws, (n, 4, 4) states, (n, 4) spectra).
 
+    A draw is the sampler's tuple, the arguments of the case's bloch and predict.
     A round draws n - accepted candidates and tests them as one stack; the
     n-th acceptance can only be a round's last draw, so rounds consume the
     stream, and reach the attempt cap, exactly as one-at-a-time testing.
     """
-    params, args, attempts = [], [], 0
+    draws, attempts = [], 0
     states, spectra = [np.empty((0, 4, 4), complex)], [np.empty((0, 4))]
-    while len(params) < n:
+    while len(draws) < n:
         drawn = []
-        for _ in range(n - len(params)):
+        for _ in range(n - len(draws)):
             attempts += 1
             if attempts > 200 * max(n, 1):
                 raise RuntimeError(f"case {spec.case_id}: positivity rejection is not converging")
             draw = spec.sample(rng)
             if draw is not None:
-                drawn.append(dict(zip(spec.param_names, draw)))
+                drawn.append(draw)
         if not drawn:
             continue
-        drawn_args = [_args(spec, p) for p in drawn]
-        forms = [spec.bloch(*a) for a in drawn_args]
-        w = bloch_matrices(2, 2, *(np.array([getattr(f, x) for f in forms]) for x in "abg"))
+        coeffs = zip(*(spec.bloch(*draw) for draw in drawn))
+        w = bloch_matrices(2, 2, *(np.array(x, dtype=float) for x in coeffs))
         w_eigs = np.linalg.eigvalsh(w)
         keep = np.flatnonzero(w_eigs[:, 0] >= -1e-12)
-        params += [drawn[i] for i in keep]
-        args += [drawn_args[i] for i in keep]
+        draws += [drawn[i] for i in keep]
         states.append(w[keep])
         spectra.append(w_eigs[keep])
-    return params, args, np.concatenate(states), np.concatenate(spectra)
+    return draws, np.concatenate(states), np.concatenate(spectra)
 
 
 @dataclass(frozen=True)
@@ -509,12 +509,12 @@ def verify_case(case_id: int, params: dict) -> CaseVerdict:
     claim is checked against the partial-transpose verdict (conclusive for
     2x2); points where the catalog makes no claim count as matching.
     """
-    spec = _spec(case_id)
-    args = _args(spec, params)
-    w = compose_bloch(spec.bloch(*args)).matrix[None]
-    v = {q: col.item() for q, col in _verify(spec, [args], w, np.linalg.eigvalsh(w)).items()}
+    spec, w = _spec(case_id), case_state(case_id, params)
+    cols = _verify(spec, [_args(spec, params)], w.matrix[None], w.spectrum[None])
+    v = {q: col.item() for q, col in cols.items()}
     v["concurrence"] = None if math.isnan(v["concurrence"]) else v["concurrence"]
-    return CaseVerdict(spec.case_id, params, *v.values())
+    return CaseVerdict(spec.case_id, params, **{f"{q}_residual": v[q] for q in _QUANTITIES},
+                       corank_match=v["corank_match"], separability_match=v["separability_match"])
 
 
 def _jsonable(value):
@@ -539,16 +539,16 @@ def verify_cases(case_ids=None, samples: int = 100, seed: int = 0, tol: float = 
     rng = np.random.default_rng(seed)
     report: dict = {"seed": seed, "samples": samples, "tol": tol, "cases": {}, "all_match": True}
     for spec in specs:
-        params, args, w, w_eigs = _points(spec, samples, rng)
-        cols = _verify(spec, args, w, w_eigs)
+        draws, w, w_eigs = _points(spec, samples, rng)
+        cols = _verify(spec, draws, w, w_eigs)
         # NaN residuals (no prediction) are skipped by fmax and written as null
         max_res = {q: float(np.fmax.reduce(cols[q], initial=0.0)) for q in _QUANTITIES}
         residuals = zip(*(_jsonable(cols[q]) for q in _QUANTITIES))
         points = [
-            {"params": {k: _jsonable(v) for k, v in p.items()}, "residuals": dict(zip(_QUANTITIES, res)),
-             "corank_match": corank, "separability_match": sep}
-            for p, res, corank, sep in zip(
-                params, residuals, cols["corank_match"].tolist(), cols["separability_match"].tolist())
+            {"params": {k: _jsonable(v) for k, v in zip(spec.param_names, draw)},
+             "residuals": dict(zip(_QUANTITIES, res)), "corank_match": corank, "separability_match": sep}
+            for draw, res, corank, sep in zip(
+                draws, residuals, cols["corank_match"].tolist(), cols["separability_match"].tolist())
         ]
         candidates = sorted(q for q, r in max_res.items() if r > tol)
         case_ok = not candidates and bool(cols["corank_match"].all() and cols["separability_match"].all())

@@ -182,15 +182,15 @@ def _solver_calls(capsys, monkeypatch, argv):
 
 
 def test_analyze_solves_the_state_spectrum_once(bell_file, capsys, monkeypatch):
-    # eigvalsh: the state spectrum (validate_density, reused by weyl_cell and
-    # entanglement_report), the Gram and the partial-transpose spectra; eigh:
-    # xi_spectra and the pure canonical form
+    # eigvalsh: the state spectrum (DensityMatrix.spectrum, read by
+    # validate_density, weyl_cell and entanglement_report), the Gram and the
+    # partial-transpose spectra; eigh: xi_spectra and the pure canonical form
     calls = _solver_calls(capsys, monkeypatch, ["analyze", str(bell_file)])
     assert calls == {"eigvalsh": 3, "eigh": 2}
 
 
 def test_ball_check_solves_the_state_spectrum_once(bell_file, capsys, monkeypatch):
-    # the unit spectrum comes from the spectrum validate_density returns
+    # the unit spectrum reads DensityMatrix.spectrum, solved by validate_density
     calls = _solver_calls(capsys, monkeypatch, ["ball-check", str(bell_file)])
     assert calls == {"eigvalsh": 1, "eigh": 0}
 

@@ -27,6 +27,8 @@ from orbit_atlas import (
     random_state,
     schmidt_vector,
     spin_flip,
+    unit_spectrum,
+    validate_density,
     werner_state,
     xi_spectra,
     xi_spectrum,
@@ -210,6 +212,22 @@ def test_entanglement_report_other_dims():
     assert rep.concurrence is None and rep.eof is None
     assert rep.cstar is None and rep.absolutely_separable is None
     assert rep.in_maximal_ball and rep.ppt_verdict == "separable"
+
+
+@pytest.mark.parametrize("w", [werner_state(0.4, 0.3), random_state("mixed", 2, 3, seed=12)], ids=["2x2", "2x3"])
+def test_state_spectrum_is_solved_once(w, monkeypatch):
+    solved = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def spy(a, *args, **kwargs):
+        solved.append(a is w.matrix)
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    validate_density(w)
+    entanglement_report(w)
+    unit_spectrum(w)
+    assert solved.count(True) == 1
 
 
 def test_ball_membership_implies_separable_verdict():

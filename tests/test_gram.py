@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from orbit_atlas import gram
 from orbit_atlas import (
     CASES,
     BlochForm,
@@ -22,6 +23,7 @@ from orbit_atlas import (
     random_state,
     sample_params,
     schmidt_vector,
+    tangent_vectors,
     werner_state,
 )
 
@@ -193,3 +195,23 @@ def test_rotated_maximally_mixed_has_rank_zero(k, m):
 
 def test_weak_werner_state_keeps_its_rank():
     assert _route_ranks(werner_state(1e-5)) == (3, 3, 3)
+
+
+def _is_exactly_hermitian(t):
+    return np.array_equal(t, t.conj().swapaxes(-1, -2))
+
+
+@pytest.mark.parametrize("kind", ["mixed", "pure"])
+@pytest.mark.parametrize("k,m", [(2, 2), (2, 3), (3, 3), (3, 4), (4, 4), (4, 5), (5, 5)])
+def test_tangent_vectors_are_hermitian_bit_for_bit(k, m, kind):
+    w = random_state(kind, k, m, seed=100 + 10 * k + m)
+    w = pure_density(w) if kind == "pure" else w
+    assert _is_exactly_hermitian(tangent_vectors(w))
+
+
+def test_tangent_stack_is_hermitian_bit_for_bit():
+    rng = np.random.default_rng(110)
+    mats = np.array([random_state("mixed", 3, 3, rng).matrix for _ in range(5)]).reshape(5, 1, 9, 9)
+    t = gram._commutators(mats, 3, 3)
+    assert t.shape == (5, 1, 16, 9, 9)
+    assert _is_exactly_hermitian(t)

@@ -86,6 +86,15 @@ def test_density_matrix_stores_a_read_only_copy():
     assert w.matrix[0, 1] == 0
 
 
+def test_density_matrix_owns_a_read_only_spectrum():
+    w = random_state("mixed", 3, 4, seed=8)
+    assert w.spectrum is w.spectrum
+    np.testing.assert_array_equal(w.spectrum, np.linalg.eigvalsh(w.matrix), strict=True)
+    assert not w.spectrum.flags.writeable
+    with pytest.raises(ValueError):
+        w.spectrum[0] = 0.5
+
+
 def test_validate_density_returns_the_ascending_spectrum():
     w = random_state("mixed", 2, 3, seed=9)
     np.testing.assert_array_equal(validate_density(w), np.linalg.eigvalsh(w.matrix))

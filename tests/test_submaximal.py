@@ -196,6 +196,14 @@ def test_verify_cases_solves_spin_flip_spectra_once_per_case(monkeypatch):
     assert len(calls) == 2
 
 
+def test_verify_cases_builds_no_bloch_form(monkeypatch):
+    calls = _count_calls(monkeypatch, [(states.BlochForm, "__post_init__")])
+    verify_cases([1, 2], samples=10)
+    assert len(calls) == 0
+    case_bloch(2, sample_params(2, 1, seed=0)[0])
+    assert len(calls) == 1
+
+
 def test_verify_cases_solves_each_state_stack_once(monkeypatch):
     # per round: the positivity check, the Gram spectra and the PT spectra
     calls = _count_calls(monkeypatch, [(np.linalg, "eigvalsh")])
