@@ -44,8 +44,8 @@ from .states import (
     BlochForm,
     DensityMatrix,
     _check_tol,
+    _jsonable,
     compose_bloch,
-    bloch_to_json,
     bloch_from_json,
     decompose_bloch,
     pure_density,
@@ -131,10 +131,6 @@ def _open_out(path: str):
         raise _CliError(f"cannot write {path}: {exc}") from exc
 
 
-def _floats(values) -> list[float]:
-    return [float(x) for x in np.asarray(values).reshape(-1)]
-
-
 def _canonical_payload(w: DensityMatrix, f: BlochForm) -> dict | None:
     if (w.k, w.m) != (2, 2):
         return None
@@ -151,9 +147,9 @@ def _canonical_payload(w: DensityMatrix, f: BlochForm) -> dict | None:
     form = canonicalize_mixed_2x2(f)
     return {
         "type": "mixed",
-        "mu": _floats(form.mu),
-        "a": _floats(form.a),
-        "b": _floats(form.b),
+        "mu": form.mu,
+        "a": form.a,
+        "b": form.b,
         "det_sign": int(form.det_sign),
     }
 
@@ -168,27 +164,14 @@ def _cmd_analyze(args) -> int:
         "k": w.k,
         "m": w.m,
         "input": {"path": args.input, "format": fmt},
-        "bloch": json.loads(bloch_to_json(f)),
-        "gram": {"spectrum": _floats(gram.spectrum), "local_dim": gram.rank},
-        "weyl": {
-            "spectrum": _floats(cell.spectrum),
-            "pattern": list(cell.pattern),
-            "label": cell.label,
-            "global_dim": cell.global_dim,
-        },
-        "entanglement": {
-            "concurrence": ent.concurrence,
-            "eof": ent.eof,
-            "ppt_spectrum": _floats(ent.ppt_spectrum),
-            "ppt_verdict": ent.ppt_verdict,
-            "in_maximal_ball": ent.in_maximal_ball,
-            "cstar": ent.cstar,
-            "absolutely_separable": ent.absolutely_separable,
-        },
+        "bloch": asdict(f),
+        "gram": {"spectrum": gram.spectrum, "local_dim": gram.rank},
+        "weyl": asdict(cell),
+        "entanglement": asdict(ent),
         "canonical": _canonical_payload(w, f),
         "effective_dim": cell.global_dim - gram.rank,
     }
-    print(json.dumps(report, indent=2))
+    print(json.dumps(_jsonable(report), indent=2))
     return 0
 
 
@@ -219,17 +202,21 @@ def _cmd_werner_scan(args) -> int:
 
 def _parse_cases(spec: str) -> list[int]:
     out: set[int] = set()
+    bad = False
     for part in spec.split(","):
         part = part.strip()
         if not part:
             continue
         lo, sep, hi = part.partition("-")
         try:
-            ids = range(int(lo), int(hi) + 1) if sep else [int(lo)]
+            ids = range(int(lo), int(hi if sep else lo) + 1)
         except ValueError as exc:
             raise _CliError(f"bad case selector {part!r}") from exc
-        out.update(ids)
-    bad = out - set(CASES)
+        # the ends bound the range (CASES is 1..9), so an out-of-range one is never expanded
+        if ids and not (ids[0] in CASES and ids[-1] in CASES):
+            bad = True
+        else:
+            out.update(ids)
     if bad or not out:
         raise _CliError(f"cases must be a nonempty subset of 1..9, got {spec!r}")
     return sorted(out)

@@ -41,7 +41,7 @@ from functools import lru_cache
 import numpy as np
 
 from .algebra import structure_constants, su_generators
-from .states import BlochForm, DensityMatrix, _check_tol, _gens, _require_2x2, _require_diagonal_g
+from .states import BlochForm, DensityMatrix, _check_tol, _require_2x2, _require_diagonal_g
 
 __all__ = [
     "RANK_TOL",
@@ -101,13 +101,13 @@ class GramSplit2x2:
 
 @lru_cache(maxsize=16)
 def _consts(n: int) -> np.ndarray:
-    return structure_constants(list(su_generators(n)))
+    return structure_constants(su_generators(n))
 
 
 def _commutators(mats: np.ndarray, k: int, m: int) -> np.ndarray:
     """[e_j x I, W] then [I x f_alpha, W] for each Hermitian W of a (..., KM, KM)
     stack, as an exactly Hermitian (..., K^2 + M^2 - 2, KM, KM) stack."""
-    e, f, n = _gens(k), _gens(m), k * m
+    e, f, n = su_generators(k), su_generators(m), k * m
     lead, x, y = mats.shape[:-2], len(e), len(f)
     p = np.empty((*lead, x + y, n, n), dtype=complex)
     pa, pb = p[..., :x, :, :], p[..., x:, :, :]
@@ -188,8 +188,8 @@ def gram_closed_form(f: BlochForm) -> GramReport:
 
 
 def local_orbit_dim(report: GramReport) -> int:
-    """Rank of the Gram matrix: eigenvalues above RANK_TOL * lambda_max (0 within rounding)."""
-    return _spectral_rank(report.spectrum, RANK_TOL)
+    """Rank of the Gram matrix as the report decided it, at the tol it was made with."""
+    return report.rank
 
 
 def orbit_dim_oracle(w: DensityMatrix) -> int:

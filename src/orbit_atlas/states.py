@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -137,14 +137,6 @@ class BlochForm:
         object.__setattr__(self, "g", g)
 
 
-@lru_cache(maxsize=16)
-def _gens(n: int) -> np.ndarray:
-    """The su(n) generators as one read-only (n^2 - 1, n, n) stack."""
-    stack = np.array(su_generators(n))
-    stack.flags.writeable = False
-    return stack
-
-
 def _require_2x2(x, name: str) -> None:
     if (x.k, x.m) != (2, 2):
         raise ValueError(f"{name} is defined for 2x2 systems, got ({x.k},{x.m})")
@@ -180,7 +172,7 @@ def bloch_matrices(k: int, m: int, a, b, g) -> np.ndarray:
     """Matrices I/(km) + i a.e x I + i I x b.f + G.(e x f) of stacked Bloch
     coefficients a (..., k^2-1), b (..., m^2-1), g (..., k^2-1, m^2-1), as a
     (..., km, km) complex stack (a single matrix for unstacked coefficients)."""
-    e, ff = _gens(k), _gens(m).reshape(m * m - 1, m * m)
+    e, ff = su_generators(k), su_generators(m).reshape(m * m - 1, m * m)
     lead = np.shape(g)[:-2]
     left = np.eye(k) / (k * m) + 1j * (a @ e.reshape(k * k - 1, k * k)).reshape(*lead, k, k)
     w = np.einsum("xij,...xab->...iajb", e, (g @ ff).reshape(*lead, k * k - 1, m, m))
@@ -202,7 +194,7 @@ def decompose_bloch(w: DensityMatrix) -> BlochForm:
     G_{j alpha} = Tr(W (e_j x f_alpha)) / 4.
     """
     k, m = w.k, w.m
-    e, fa = _gens(k), _gens(m)
+    e, fa = su_generators(k), su_generators(m)
     w4 = w.matrix.reshape(k, m, k, m)
     # Tr(W (e_j x X)) = Tr(P_j X) with P_j = sum_i,l e_j[l, i] W[i, :, l, :]
     p = np.einsum("xli,ialb->xab", e, w4)
@@ -309,6 +301,20 @@ def random_state(kind: str, k: int, m: int, seed=None):
         mat = g @ g.conj().T
         return DensityMatrix(k, m, mat / np.trace(mat).real)
     raise ValueError(f"unknown state kind {kind!r}; expected 'pure' or 'mixed'")
+
+
+def _jsonable(value):
+    """value ready for json.dumps: arrays and tuples as lists, dicts and lists
+    converted item by item, and non-finite floats as None."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, np.ndarray):
+        value = value.tolist()
+    if isinstance(value, (list, tuple)):
+        return [_jsonable(v) for v in value]
+    if isinstance(value, dict):
+        return {key: _jsonable(v) for key, v in value.items()}
+    return value
 
 
 def state_to_json(w: DensityMatrix) -> str:

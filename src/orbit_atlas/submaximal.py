@@ -38,7 +38,7 @@ import numpy as np
 
 from .entanglement import _ppt_verdict, concurrences_from_xi, pt_spectra, xi_spectra
 from .gram import gram_stack
-from .states import BlochForm, DensityMatrix, _check_tol, _rng, bloch_matrices, compose_bloch
+from .states import BlochForm, DensityMatrix, _check_tol, _jsonable, _rng, bloch_matrices, compose_bloch
 
 __all__ = [
     "CaseSpec",
@@ -517,13 +517,6 @@ def verify_case(case_id: int, params: dict) -> CaseVerdict:
                        corank_match=v["corank_match"], separability_match=v["separability_match"])
 
 
-def _jsonable(value):
-    """A float, or the floats of an array as a list, with non-finite values as None."""
-    if isinstance(value, np.ndarray):
-        return [_jsonable(v) for v in value.tolist()]
-    return value if math.isfinite(value) else None
-
-
 def verify_cases(case_ids=None, samples: int = 100, seed: int = 0, tol: float = 1e-9) -> dict:
     """Run the harness over the requested cases; returns a JSON-ready report.
 
@@ -545,7 +538,7 @@ def verify_cases(case_ids=None, samples: int = 100, seed: int = 0, tol: float = 
         max_res = {q: float(np.fmax.reduce(cols[q], initial=0.0)) for q in _QUANTITIES}
         residuals = zip(*(_jsonable(cols[q]) for q in _QUANTITIES))
         points = [
-            {"params": {k: _jsonable(v) for k, v in zip(spec.param_names, draw)},
+            {"params": _jsonable(dict(zip(spec.param_names, draw))),
              "residuals": dict(zip(_QUANTITIES, res)), "corank_match": corank, "separability_match": sep}
             for draw, res, corank, sep in zip(
                 draws, residuals, cols["corank_match"].tolist(), cols["separability_match"].tolist())
@@ -554,7 +547,7 @@ def verify_cases(case_ids=None, samples: int = 100, seed: int = 0, tol: float = 
         case_ok = not candidates and bool(cols["corank_match"].all() and cols["separability_match"].all())
         report["cases"][str(spec.case_id)] = {
             "description": spec.description, "predicted_corank": spec.corank, "points": points,
-            "max_residuals": {q: _jsonable(r) for q, r in max_res.items()},
+            "max_residuals": _jsonable(max_res),
             "typo_candidates": candidates, "all_match": case_ok,
         }
         report["all_match"] = report["all_match"] and case_ok

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from orbit_atlas import commutator, partial_transpose, structure_constants, su_generators
+from orbit_atlas import DensityMatrix, commutator, partial_transpose, structure_constants, su_generators
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]])
@@ -31,6 +31,18 @@ def test_generator_basis_properties(n):
 
 
 def test_su_generators_rejects_small_n():
+    with pytest.raises(ValueError):
+        su_generators(1)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_su_generators_is_one_read_only_stack_per_n(n):
+    gens = su_generators(n)
+    assert gens is su_generators(n)
+    assert gens.shape == (n * n - 1, n, n) and gens.dtype == complex
+    assert not gens.flags.writeable
+    with pytest.raises(ValueError):
+        gens[0, 0, 0] = 1.0
     with pytest.raises(ValueError):
         su_generators(1)
 
@@ -69,6 +81,19 @@ def test_partial_transpose_blocks_and_involution():
             block = mat[i * m : (i + 1) * m, j * m : (j + 1) * m]
             np.testing.assert_allclose(pt[i * m : (i + 1) * m, j * m : (j + 1) * m], block.T)
     np.testing.assert_allclose(partial_transpose(pt, k, m), mat)
+
+
+@pytest.mark.parametrize("k, m, lead", [(2, 2, ()), (2, 3, ()), (3, 2, (4,)), (4, 5, ()), (5, 5, (2, 3))])
+def test_partial_transpose_returns_a_fresh_writeable_array(k, m, lead):
+    rng = np.random.default_rng(k * m)
+    n = k * m
+    mats = rng.standard_normal((*lead, n, n)) + 1j * rng.standard_normal((*lead, n, n))
+    mats.flags.writeable = False
+    pt = partial_transpose(mats, k, m)
+    assert pt.flags.writeable and not np.shares_memory(pt, mats)
+    w = DensityMatrix(k, m, np.eye(n) / n)
+    pt = partial_transpose(w.matrix, k, m)
+    assert pt.flags.writeable and not np.shares_memory(pt, w.matrix)
 
 
 def test_partial_transpose_of_stack_matches_each_matrix():

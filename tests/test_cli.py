@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,11 +12,12 @@ from orbit_atlas import (
     maximal_ball_check,
     ppt_check,
     pure_density,
+    random_state,
     schmidt_vector,
     state_to_json,
     werner_state,
 )
-from orbit_atlas.cli import WERNER_BLOCK, main
+from orbit_atlas.cli import WERNER_BLOCK, _CliError, _parse_cases, main
 
 
 @pytest.fixture()
@@ -46,6 +48,42 @@ def test_analyze_bell(bell_file, capsys):
     assert doc["effective_dim"] == 3
     # lossless JSON round trip
     assert json.loads(json.dumps(doc)) == doc
+
+
+def _key_paths(doc, prefix=""):
+    for key, value in doc.items():
+        yield prefix + key
+        if isinstance(value, dict):
+            yield from _key_paths(value, f"{prefix}{key}.")
+
+
+_COMMON_PATHS = [
+    "k", "m", "input", "input.path", "input.format",
+    "bloch", "bloch.k", "bloch.m", "bloch.a", "bloch.b", "bloch.g",
+    "gram", "gram.spectrum", "gram.local_dim",
+    "weyl", "weyl.spectrum", "weyl.pattern", "weyl.label", "weyl.global_dim",
+    "entanglement", "entanglement.concurrence", "entanglement.eof", "entanglement.ppt_spectrum",
+    "entanglement.ppt_verdict", "entanglement.in_maximal_ball", "entanglement.cstar",
+    "entanglement.absolutely_separable",
+    "canonical",
+]
+
+
+def test_analyze_key_paths_are_pinned(bell_file, tmp_path, capsys):
+    # the report serialises the Bloch, Weyl and entanglement dataclasses whole,
+    # so a new field in any of them shows up here as a schema change
+    code, out, _ = _run(capsys, ["analyze", str(bell_file)])
+    assert code == 0
+    canonical = ["canonical.type", "canonical.theta", "canonical.stratum", "canonical.orbit_dim"]
+    assert list(_key_paths(json.loads(out))) == _COMMON_PATHS + canonical + ["effective_dim"]
+    mixed = tmp_path / "mixed_2x3.json"
+    mixed.write_text(state_to_json(random_state("mixed", 2, 3, seed=5)))
+    code, out, _ = _run(capsys, ["analyze", str(mixed)])
+    assert code == 0
+    doc = json.loads(out)
+    assert list(_key_paths(doc)) == _COMMON_PATHS + ["effective_dim"]
+    assert doc["canonical"] is None and doc["entanglement"]["concurrence"] is None
+    assert len(doc["bloch"]["g"]) == 3 and len(doc["bloch"]["g"][0]) == 8
 
 
 def test_analyze_maximally_mixed(tmp_path, capsys):
@@ -299,6 +337,21 @@ def test_appendix_verify_exit_codes(tmp_path, capsys):
     assert _run(capsys, ["appendix-verify", "--cases", "0"])[0] == 2
     assert _run(capsys, ["appendix-verify", "--cases", "x"])[0] == 2
     assert _run(capsys, ["appendix-verify", "--samples", "0"])[0] == 2
+
+
+def test_case_ranges_are_bounded_before_they_are_expanded(capsys):
+    tracemalloc.start()
+    try:
+        with pytest.raises(_CliError):
+            _parse_cases("1-200000")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    code, out, err = _run(capsys, ["appendix-verify", "--cases", "1-1000000000"])
+    assert code == 2 and out == ""
+    assert "subset of 1..9" in err
+    assert _parse_cases("5-3,2") == [2]
 
 
 def test_appendix_verify_env_seed(capsys, monkeypatch):

@@ -215,3 +215,17 @@ def test_tangent_stack_is_hermitian_bit_for_bit():
     t = gram._commutators(mats, 3, 3)
     assert t.shape == (5, 1, 16, 9, 9)
     assert _is_exactly_hermitian(t)
+
+
+def test_local_orbit_dim_follows_the_report_tol():
+    # a case-3 point (rank 3) nudged by 1e-4: three Gram eigenvalues near 1e-6 lambda_max
+    w = case_state(3, {"mu": 0.1})
+    rng = np.random.default_rng(0)
+    h = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    h = h + h.conj().T
+    h -= np.trace(h) / 4 * np.eye(4)
+    nudged = DensityMatrix(2, 2, w.matrix + 1e-4 * h)
+    coarse, fine = gram_direct(nudged, 1e-3), gram_direct(nudged)
+    assert (coarse.rank, fine.rank) == (3, 6)
+    assert local_orbit_dim(coarse) == 3
+    assert local_orbit_dim(fine) == 6
