@@ -10,10 +10,19 @@ P = X W with the su(K) and su(M) generator stacks and their adjoints: X is
 antihermitian, so for Hermitian W, [X, W] = P + P^dag, Hermitian bit for bit (for the
 1e-8 anti-Hermitian part a DensityMatrix tolerates, P + P^dag is within O(1e-8) of
 [X, W], as rows read from one triangle of [X, W] are).  The same kernel takes any
-(..., KM, KM) stack of Ws.  Each W_m becomes one real row of (KM)^2 Hermitian
-coordinates, diag W_m and sqrt2 Re, sqrt2 Im of its strict upper triangle, so
-Tr(W_m W_n) is a dot product of rows: ``gram_direct`` (``gram_stack`` for a stack
-of Ws) is rows @ rows.T / 2 and ``orbit_dim_oracle`` takes the rows' singular values.
+(..., KM, KM) stack of Ws.  T = conj(P^T) + P is written into its own buffer with
+no temporary; IEEE addition commutes, so it equals P + P^dag bit for bit.  Each W_m
+becomes one real row of (KM)^2 Hermitian coordinates, diag W_m and sqrt2 Re, sqrt2 Im
+of its strict upper triangle, so Tr(W_m W_n) is a dot product of rows: ``gram_direct``
+(``gram_stack`` for a stack of Ws) is 0.5 * (rows @ rows.T), scaling the small product
+rather than the rows, and ``orbit_dim_oracle`` takes the rows' singular values.
+
+The P and T stacks and the rows live in one private workspace per thread, kept for
+the last (..., K^2 + M^2 - 2, KM, KM) shape asked for and reallocated only when the
+shape changes (about 1.2 MB at 5x5), so repeated calls at one split allocate no
+tangent-sized arrays.  No result aliases it: ``gram_stack`` and ``gram_direct``
+return fresh matrices, ``orbit_dim_oracle`` an int, and ``tangent_vectors`` a
+stack of its own.
 
 ``gram_closed_form`` evaluates C directly from the Bloch coefficients,
 
@@ -35,6 +44,7 @@ lambda_max at or below (64 eps)^2 is rounding of the unit-trace W: rank 0.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -104,19 +114,22 @@ def _consts(n: int) -> np.ndarray:
     return structure_constants(su_generators(n))
 
 
-def _commutators(mats: np.ndarray, k: int, m: int) -> np.ndarray:
+def _commutators(mats: np.ndarray, k: int, m: int, out: tuple | None = None) -> np.ndarray:
     """[e_j x I, W] then [I x f_alpha, W] for each Hermitian W of a (..., KM, KM)
-    stack, as an exactly Hermitian (..., K^2 + M^2 - 2, KM, KM) stack."""
+    stack, as an exactly Hermitian (..., K^2 + M^2 - 2, KM, KM) stack T.  P = X W is
+    written to out[0] and T to out[1] (a fresh pair without ``out``); T is returned."""
     e, f, n = su_generators(k), su_generators(m), k * m
     lead, x, y = mats.shape[:-2], len(e), len(f)
-    p = np.empty((*lead, x + y, n, n), dtype=complex)
+    shape = (*lead, x + y, n, n)
+    p, t = (np.empty(shape, dtype=complex), np.empty(shape, dtype=complex)) if out is None else out
     pa, pb = p[..., :x, :, :], p[..., x:, :, :]
     # X W multiplies X into one factor of W's row index
     np.matmul(e.reshape(x * k, k), mats.reshape(*lead, k, m * n), out=pa.reshape(*lead, x * k, m * n))
     np.matmul(f[:, None], mats.reshape(*lead, 1, k, m, n), out=pb.reshape(*lead, y, k, m, n))
-    # X antihermitian, W Hermitian: [X, W] = X W - W X = X W + (X W)^dag
-    p += p.conj().swapaxes(-1, -2)
-    return p
+    # X antihermitian, W Hermitian: [X, W] = X W - W X = (X W)^dag + X W
+    np.conjugate(p.swapaxes(-1, -2), out=t)
+    t += p
+    return t
 
 
 def tangent_vectors(w: DensityMatrix) -> np.ndarray:
@@ -134,11 +147,24 @@ def _hermitian_coords(n: int) -> np.ndarray:
     return coords
 
 
+_workspace = threading.local()
+
+
 def _tangent_rows(mats: np.ndarray, k: int, m: int) -> np.ndarray:
-    # diag T, sqrt2 Re and sqrt2 Im of T's strict upper triangle; T = T^dag: row_m . row_n = Tr(T_m T_n)
-    t = _commutators(mats, k, m)
-    rows = t.reshape(*t.shape[:-2], t.shape[-1] ** 2).view(float)[..., _hermitian_coords(k * m)]
-    rows[..., k * m :] *= np.sqrt(2.0)
+    # diag T, sqrt2 Re and sqrt2 Im of T's strict upper triangle; T = T^dag: row_m . row_n = Tr(T_m T_n).
+    # The rows, and the P and T stacks behind them, are this thread's workspace for the last
+    # shape asked for: a caller reads them and returns only fresh arrays.
+    n = k * m
+    shape = (*mats.shape[:-2], k * k + m * m - 2, n, n)
+    held = getattr(_workspace, "held", None)
+    if held is None or held[0] != shape:
+        pair = (np.empty(shape, dtype=complex), np.empty(shape, dtype=complex))
+        held = _workspace.held = shape, pair, np.empty((*shape[:-2], n * n))
+    _, pair, rows = held
+    flat = _commutators(mats, k, m, out=pair).reshape(*shape[:-2], n * n).view(float)
+    # the coordinates are in range: mode="clip" gathers straight into rows, "raise" buffers a copy
+    flat.take(_hermitian_coords(n), axis=-1, out=rows, mode="clip")
+    rows[..., n:] *= np.sqrt(2.0)
     return rows
 
 
@@ -160,7 +186,7 @@ def gram_stack(mats: np.ndarray, k: int, m: int, tol: float = RANK_TOL) -> tuple
     """Gram matrices of the tangent vectors X W + (X W)^dag of a (..., KM, KM) stack of
     Hermitian Ws with their ascending spectra and ranks: gram_direct of each, in one pass."""
     rows = _tangent_rows(mats, k, m)
-    return _symmetric_spectra(0.5 * rows @ rows.mT, _check_tol(tol))
+    return _symmetric_spectra(0.5 * (rows @ rows.mT), _check_tol(tol))
 
 
 def gram_direct(w: DensityMatrix, tol: float = RANK_TOL) -> GramReport:

@@ -1,3 +1,6 @@
+import threading
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -229,3 +232,58 @@ def test_local_orbit_dim_follows_the_report_tol():
     assert (coarse.rank, fine.rank) == (3, 6)
     assert local_orbit_dim(coarse) == 3
     assert local_orbit_dim(fine) == 6
+
+
+@pytest.mark.parametrize("k,m", [(3, 3), (5, 5)])
+def test_results_never_alias_the_workspace(k, m):
+    w, other = (random_state("mixed", k, m, seed=120 + 10 * k + s) for s in range(2))
+    rep = gram_direct(w)
+    kept = [tangent_vectors(w), rep.matrix, rep.spectrum]
+    want = [x.copy() for x in kept]
+    later = [gram_direct(other).matrix, *gram.gram_stack(other.matrix, k, m)[:2], tangent_vectors(other)]
+    assert orbit_dim_oracle(other) == k * k + m * m - 2
+    for x, y in zip(kept, want):
+        assert np.array_equal(x, y)
+    results = kept + later + [gram_direct(w).matrix, tangent_vectors(w)]
+    _, pair, rows = gram._workspace.held
+    workspace = [rows, *pair]
+    for i, x in enumerate(results):
+        assert x.flags.writeable
+        assert not any(np.shares_memory(x, y) for y in results[i + 1 :] + workspace)
+
+
+def test_gram_routes_are_thread_safe():
+    splits = [(2, 2), (3, 4), (4, 5), (5, 5)]
+    states = {km: [random_state("mixed", *km, seed=130 + 10 * i + s) for s in range(5)] for i, km in enumerate(splits)}
+    serial = {km: [(gram_direct(w), orbit_dim_oracle(w)) for w in ws] for km, ws in states.items()}
+    start, mismatches = threading.Barrier(len(splits), timeout=60), {}
+
+    def run(km):
+        start.wait()
+        bad = 0
+        for i in range(30):
+            w, (want, oracle) = states[km][i % 5], serial[km][i % 5]
+            got = gram_direct(w)
+            err = np.max(np.abs(got.matrix - want.matrix)) / np.max(np.abs(want.matrix))
+            bad += got.rank != want.rank or orbit_dim_oracle(w) != oracle or err > 1e-13
+        mismatches[km] = bad
+
+    threads = [threading.Thread(target=run, args=(km,)) for km in splits]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    assert mismatches == dict.fromkeys(splits, 0)
+
+
+@pytest.mark.parametrize("route", [gram_direct, orbit_dim_oracle])
+def test_warm_5x5_routes_allocate_less_than_one_tangent_stack(route):
+    w = random_state("mixed", 5, 5, seed=140)
+    route(w)
+    tracemalloc.start()
+    try:
+        route(w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 48 * 25 * 25 * 16
