@@ -20,6 +20,8 @@ import argparse
 import json
 import os
 from dataclasses import asdict
+from itertools import chain
+from operator import itemgetter
 import sys
 from pathlib import Path
 
@@ -65,6 +67,7 @@ __all__ = ["main"]
 WERNER_BLOCK = 256
 
 _RANK_TOL_HELP = "Gram rank tolerance, relative to the largest Gram eigenvalue"
+_LEAF = "\0"  # a leaf in a report template; json writes it as "\u0000"
 
 
 class _CliError(Exception):
@@ -222,13 +225,67 @@ def _parse_cases(spec: str) -> list[int]:
     return sorted(out)
 
 
+def _layout(value):
+    """value with every leaf replaced by _LEAF."""
+    if isinstance(value, dict):
+        return {key: _layout(v) for key, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_layout(v) for v in value]
+    return _LEAF
+
+
+def _columns(values: list, layout) -> list:
+    """The leaves of values that share layout, one list per leaf, in the order json writes them."""
+    if isinstance(layout, dict):
+        keys = layout.items()
+    elif isinstance(layout, list):
+        keys = enumerate(layout)
+    else:
+        return [values]
+    return [col for key, sub in keys for col in _columns(list(map(itemgetter(key), values)), sub)]
+
+
+def _points_json(points: list, indent: str) -> str:
+    """json.dumps(points, indent=2) for a list whose items all have the first
+    item's layout, indented to sit on a line that starts with indent."""
+    if not points:
+        return "[]"
+    inner = indent + "  "
+    layout = _layout(points[0])
+    template = (json.dumps(layout, indent=2).replace("%", "%%")
+                .replace(json.dumps(_LEAF), "%s").replace("\n", "\n" + inner))
+    leaves = list(chain.from_iterable(zip(*_columns(points, layout))))
+    # a newline never occurs inside a token json writes, so it splits them exactly
+    tokens = json.dumps(leaves, separators=("\n", ":"))[1:-1].split("\n") if leaves else []
+    body = (",\n" + inner).join([template] * len(points)) % tuple(tokens)
+    return f"[\n{inner}{body}\n{indent}]"
+
+
+def _report_json(report: dict) -> str:
+    """json.dumps(report, indent=2), byte for byte, for a verify_cases report.
+
+    The report without its points goes through json.dumps; each case's points
+    are rendered from one template, the first point's text with its leaves cut
+    out, filled with the leaf tokens of one C-encoded json.dumps.
+    """
+    cases = report["cases"]
+    skeleton = {**report, "cases": {cid: {**case, "points": []} for cid, case in cases.items()}}
+    # json escapes every quote inside a string, so this key occurs once per case
+    pieces = json.dumps(skeleton, indent=2).split('"points": []')
+    out = [pieces[0]]
+    for case, piece in zip(cases.values(), pieces[1:], strict=True):
+        indent = out[-1][out[-1].rfind("\n") + 1:]
+        out += ['"points": ', _points_json(case["points"], indent), piece]
+    return "".join(out)
+
+
 def _cmd_appendix_verify(args) -> int:
     if args.samples < 1:
         raise _CliError("samples must be at least 1")
     case_ids = _parse_cases(args.cases)
     seed = args.seed if args.seed is not None else _default_seed()
     report = verify_cases(case_ids, samples=args.samples, seed=seed, tol=args.tol)
-    payload = json.dumps(report, indent=2) + "\n"
+    payload = _report_json(report) + "\n"
     if args.out:
         with _open_out(args.out) as fh:
             fh.write(payload)

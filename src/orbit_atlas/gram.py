@@ -220,8 +220,10 @@ def local_orbit_dim(report: GramReport) -> int:
 
 def orbit_dim_oracle(w: DensityMatrix) -> int:
     """Orbit dimension from an independent route: rank of the tangent vectors'
-    Hermitian-coordinate rows from their singular values, thresholded as squares."""
-    s2 = np.linalg.svd(_tangent_rows(w.matrix, w.k, w.m), compute_uv=False) ** 2
+    Hermitian-coordinate rows from their singular values, thresholded as squares.
+    The SVD reads the rows transposed: the same singular values, but LAPACK gets a
+    column-major operand it needs no transposing copy of."""
+    s2 = np.linalg.svd(_tangent_rows(w.matrix, w.k, w.m).T, compute_uv=False) ** 2
     return _spectral_rank(s2, RANK_TOL)
 
 

@@ -309,6 +309,8 @@ def _jsonable(value):
     if isinstance(value, float):
         return value if math.isfinite(value) else None
     if isinstance(value, np.ndarray):
+        if value.dtype.kind in "biuf" and np.isfinite(value).all():
+            return value.tolist()
         value = value.tolist()
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]

@@ -102,13 +102,27 @@ def _vec(value) -> np.ndarray:
     return v
 
 
+def _uniform(rng: np.random.Generator, lo: float, hi: float) -> float:
+    # rng.uniform(lo, hi) computes exactly this from one random(); calling it costs 3-4x as much
+    return lo + (hi - lo) * rng.random()
+
+
 def _unit3(rng: np.random.Generator) -> np.ndarray:
     v = rng.standard_normal(3)
-    return v / np.linalg.norm(v)
+    return v / math.sqrt(v.dot(v))
 
 
 def _signed(rng: np.random.Generator, lo: float, hi: float) -> float:
-    return float(rng.uniform(lo, hi) * rng.choice([-1.0, 1.0]))
+    # integers(0, 2) consumes the stream exactly as choice([-1.0, 1.0]) does
+    return _uniform(rng, lo, hi) * (-1.0, 1.0)[rng.integers(0, 2)]
+
+
+def _sqrt(x):
+    """np.emath.sqrt of one scalar: a real root for a real input that is not
+    negative (NaN included), the principal imaginary root of a negative one."""
+    if isinstance(x, complex):
+        return np.emath.sqrt(x)
+    return complex(0.0, math.sqrt(-x)) if x < 0 else math.sqrt(x)
 
 
 def _predict_1() -> CasePredictions:
@@ -123,7 +137,7 @@ def _predict_1() -> CasePredictions:
 
 
 def _predict_2(a) -> CasePredictions:
-    na = float(np.linalg.norm(a))
+    na = math.sqrt(a.dot(a))
     rho = c([0.25 + na, 0.25 + na, 0.25 - na, 0.25 - na], dtype=complex)
     return CasePredictions(
         gram_eigs=c([8 * na**2, 8 * na**2, 0, 0, 0, 0], dtype=complex),
@@ -147,13 +161,13 @@ def _predict_3(mu) -> CasePredictions:
 
 
 def _sample_3(rng: np.random.Generator) -> tuple | None:
-    mu = float(rng.uniform(-1.0 / 12.0 + 0.002, 0.245))
+    mu = _uniform(rng, -1.0 / 12.0 + 0.002, 0.245)
     return None if abs(mu) < 0.02 else (mu,)
 
 
 def _predict_4(a, b) -> CasePredictions:
-    na = float(np.linalg.norm(a))
-    nb = float(np.linalg.norm(b))
+    na = math.sqrt(a.dot(a))
+    nb = math.sqrt(b.dot(b))
     rho = c(
         [0.25 + na + nb, 0.25 - na - nb, 0.25 + abs(na - nb), 0.25 - abs(na - nb)],
         dtype=complex,
@@ -192,7 +206,7 @@ def _predict_5(mu, a, b) -> CasePredictions:
 
 def _predict_6(mu, a, b) -> CasePredictions:
     nb2 = float(b @ b)
-    lam_rad = np.sqrt((mu**2 - nb2) ** 2 + 4 * mu**2 * b[0] ** 2)
+    lam_rad = math.sqrt((mu**2 - nb2) ** 2 + 4 * mu**2 * b[0] ** 2)
     r_minus = np.sqrt(mu**2 + nb2 - 2 * b[0] * mu)
     r_plus = np.sqrt(mu**2 + nb2 + 2 * b[0] * mu)
     rho = c(
@@ -200,7 +214,7 @@ def _predict_6(mu, a, b) -> CasePredictions:
         dtype=complex,
     )
     # the radical mixes quadratic and quartic terms as stated (2 mu a b_1)
-    xi_rad = np.emath.sqrt(4 * (a**2 - mu**2) * nb2 + 4 * mu**2 * b[0] ** 2 + 2 * mu * a * b[0])
+    xi_rad = _sqrt(4 * (a**2 - mu**2) * nb2 + 4 * mu**2 * b[0] ** 2 + 2 * mu * a * b[0])
     xi_base = 1.0 / 16.0 + mu**2 - a**2 - nb2
     return CasePredictions(
         gram_eigs=c(
@@ -224,22 +238,22 @@ def _predict_6(mu, a, b) -> CasePredictions:
 
 def _predict_7(mu, xi_r, a) -> CasePredictions:
     na2 = float(a @ a)
-    na = float(np.sqrt(na2))
+    na = math.sqrt(na2)
     # inner radical mixes mu^4 with |a|^2 as stated
-    inner = np.emath.sqrt(16 * mu**4 + (xi_r**2 - 1) ** 2 * na2)
-    s_plus = np.emath.sqrt(mu**2 + inner)
-    s_minus = np.emath.sqrt(mu**2 - inner)
+    inner = _sqrt(16 * mu**4 + (xi_r**2 - 1) ** 2 * na2)
+    s_plus = _sqrt(mu**2 + inner)
+    s_minus = _sqrt(mu**2 - inner)
     base = (xi_r**2 - 1) * na2
     r1 = abs(xi_r + 1) * na
-    r2 = np.sqrt(4 * mu**2 + (xi_r - 1) ** 2 * na2)
+    r2 = math.sqrt(4 * mu**2 + (xi_r - 1) ** 2 * na2)
     r1t = abs(xi_r - 1) * na
-    r2t = np.sqrt(4 * mu**2 + (xi_r + 1) ** 2 * na2)
+    r2t = math.sqrt(4 * mu**2 + (xi_r + 1) ** 2 * na2)
     # "(mu + 1)" under this radical as stated
-    xrad = np.emath.sqrt(4 * (mu + 1) ** 2 - 16 * (xi_r - 1) ** 2 * na2)
+    xrad = _sqrt(4 * (mu + 1) ** 2 - 16 * (xi_r - 1) ** 2 * na2)
     xi_head = 1.0 / 16.0 + mu / 2.0 + 5 * mu**2 - (xi_r - 1) ** 2 * na2
     xi_tail = (0.25 - mu) ** 2 - (xi_r + 1) ** 2 * na2
     nonsep = (
-        np.sqrt(4 * mu**2 + (xi_r + 1) ** 2 * na2) > 0.25 - mu
+        math.sqrt(4 * mu**2 + (xi_r + 1) ** 2 * na2) > 0.25 - mu
         or 0.25 < abs(xi_r - 1) * na
     )
     return CasePredictions(
@@ -266,16 +280,16 @@ def _predict_7(mu, xi_r, a) -> CasePredictions:
 
 
 def _predict_axial(mu_d, mu_p, mu1, mu2, a, b) -> CasePredictions:
-    rad = np.sqrt(16 * mu1**2 * mu2**2 + (a**2 - b**2) ** 2)
+    rad = math.sqrt(16 * mu1**2 * mu2**2 + (a**2 - b**2) ** 2)
     base = a**2 + b**2 + 2 * mu1**2 + 2 * mu2**2
-    r34 = np.sqrt(4 * mu_p**2 + (a - b) ** 2)
-    r34t = np.sqrt(4 * mu_p**2 + (a + b) ** 2)
-    xr = np.emath.sqrt((0.25 + mu_d) ** 2 - (a - b) ** 2)
+    r34 = math.sqrt(4 * mu_p**2 + (a - b) ** 2)
+    r34t = math.sqrt(4 * mu_p**2 + (a + b) ** 2)
+    xr = _sqrt((0.25 + mu_d) ** 2 - (a - b) ** 2)
     pt = c(
         [0.25 + mu_d - a + b, 0.25 + mu_d + a - b, 0.25 - mu_d + r34t, 0.25 - mu_d - r34t],
         dtype=complex,
     )
-    nonsep = np.sqrt(4 * mu_p**2 + (a + b) ** 2) > 0.25 - mu_d or 0.25 < b - a - mu_d
+    nonsep = math.sqrt(4 * mu_p**2 + (a + b) ** 2) > 0.25 - mu_d or 0.25 < b - a - mu_d
     return CasePredictions(
         gram_eigs=c(
             [4 * (base + rad)] * 2 + [4 * (base - rad)] * 2 + [32 * mu_p**2, 0], dtype=complex
@@ -300,7 +314,7 @@ def _sample_axial(rng: np.random.Generator) -> tuple | None:
     mu2 = _signed(rng, 0.02, 0.1)
     if abs(abs(mu1) - abs(mu2)) < 0.01:
         return None
-    return mu1, mu2, float(rng.uniform(0.02, 0.08)), float(rng.uniform(0.02, 0.08))
+    return mu1, mu2, _uniform(rng, 0.02, 0.08), _uniform(rng, 0.02, 0.08)
 
 
 CASES: dict[int, CaseSpec] = {
@@ -314,7 +328,7 @@ CASES: dict[int, CaseSpec] = {
         2, 4, "one-sided polarization: G = 0, b = 0, a free", ("a",),
         lambda a: (a, np.zeros(3), np.zeros((3, 3))),
         _predict_2,
-        lambda rng: (rng.uniform(0.02, 0.24) * _unit3(rng),),
+        lambda rng: (_uniform(rng, 0.02, 0.24) * _unit3(rng),),
         vectors=("a",),
     ),
     3: CaseSpec(
@@ -328,8 +342,8 @@ CASES: dict[int, CaseSpec] = {
         lambda a, b: (a, b, np.zeros((3, 3))),
         _predict_4,
         lambda rng: (
-            rng.uniform(0.02, 0.11) * _unit3(rng),
-            rng.uniform(0.02, 0.11) * _unit3(rng),
+            _uniform(rng, 0.02, 0.11) * _unit3(rng),
+            _uniform(rng, 0.02, 0.11) * _unit3(rng),
         ),
         vectors=("a", "b"),
     ),
@@ -339,8 +353,8 @@ CASES: dict[int, CaseSpec] = {
         _predict_5,
         lambda rng: (
             _signed(rng, 0.02, 0.12),
-            float(rng.uniform(0.02, 0.1)),
-            float(rng.uniform(0.02, 0.1)),
+            _uniform(rng, 0.02, 0.1),
+            _uniform(rng, 0.02, 0.1),
         ),
     ),
     6: CaseSpec(
@@ -349,8 +363,8 @@ CASES: dict[int, CaseSpec] = {
         _predict_6,
         lambda rng: (
             _signed(rng, 0.02, 0.1),
-            float(rng.uniform(0.02, 0.1)),
-            rng.uniform(0.02, 0.1) * _unit3(rng),
+            _uniform(rng, 0.02, 0.1),
+            _uniform(rng, 0.02, 0.1) * _unit3(rng),
         ),
         vectors=("b",),
     ),
@@ -360,8 +374,8 @@ CASES: dict[int, CaseSpec] = {
         _predict_7,
         lambda rng: (
             _signed(rng, 0.02, 0.06),
-            float(rng.uniform(-1.8, 1.8)),
-            rng.uniform(0.02, 0.08) * _unit3(rng),
+            _uniform(rng, -1.8, 1.8),
+            _uniform(rng, 0.02, 0.08) * _unit3(rng),
         ),
         vectors=("a",),
     ),
@@ -483,18 +497,21 @@ def _multiset_residuals(pred: list, actual: np.ndarray) -> np.ndarray:
 def _verify(spec: CaseSpec, args: list, w: np.ndarray, w_eigs: np.ndarray) -> dict:
     """Residual and flag columns, in CaseVerdict order, of a case's (B, 4, 4)
     stack of points; a NaN concurrence residual marks a point where the
-    catalog states no concurrence."""
+    catalog states no concurrence, and a stated concurrence whose residual
+    is NaN gets an infinite one."""
     preds = [spec.predict(*a) for a in args]
     _, gram_eigs, ranks = gram_stack(w, 2, 2)
     pt = pt_spectra(w, 2, 2)
     xi = xi_spectra(w)
+    stated = np.array([p.concurrence is not None for p in preds])
     conc = np.array([np.nan if p.concurrence is None else p.concurrence for p in preds])
+    conc = np.abs(concurrences_from_xi(xi) - conc)
     return {
         "gram_eig": _multiset_residuals([p.gram_eigs for p in preds], gram_eigs),
         "w_eig": _multiset_residuals([p.w_eigs for p in preds], w_eigs),
         "pt_eig": _multiset_residuals([p.pt_eigs for p in preds], pt),
         "xi": _multiset_residuals([p.xi for p in preds], xi),
-        "concurrence": np.abs(concurrences_from_xi(xi) - conc),
+        "concurrence": np.where(stated & np.isnan(conc), np.inf, conc),
         "corank_match": 6 - ranks == spec.corank,
         "separability_match": np.array([
             p.separability in (None, _ppt_verdict(low, 2, 2)) for p, low in zip(preds, pt[:, 0].tolist())
@@ -534,16 +551,22 @@ def verify_cases(case_ids=None, samples: int = 100, seed: int = 0, tol: float = 
     for spec in specs:
         draws, w, w_eigs = _points(spec, samples, rng)
         cols = _verify(spec, draws, w, w_eigs)
-        # NaN residuals (no prediction) are skipped by fmax and written as null
-        max_res = {q: float(np.fmax.reduce(cols[q], initial=0.0)) for q in _QUANTITIES}
+        # fmax skips the concurrence's no-prediction NaNs; any other NaN makes
+        # its maximum NaN, a typo candidate written as null
+        max_res = {q: float(np.maximum.reduce(cols[q], initial=0.0)) for q in _QUANTITIES}
+        max_res["concurrence"] = float(np.fmax.reduce(cols["concurrence"], initial=0.0))
+        # one conversion per parameter column and per residual column
+        columns = [_jsonable(np.array(col)) for col in zip(*draws)]
+        params = ([dict(zip(spec.param_names, vals)) for vals in zip(*columns)] if columns
+                  else [{} for _ in draws])
         residuals = zip(*(_jsonable(cols[q]) for q in _QUANTITIES))
         points = [
-            {"params": _jsonable(dict(zip(spec.param_names, draw))),
-             "residuals": dict(zip(_QUANTITIES, res)), "corank_match": corank, "separability_match": sep}
-            for draw, res, corank, sep in zip(
-                draws, residuals, cols["corank_match"].tolist(), cols["separability_match"].tolist())
+            {"params": par, "residuals": dict(zip(_QUANTITIES, res)),
+             "corank_match": corank, "separability_match": sep}
+            for par, res, corank, sep in zip(
+                params, residuals, cols["corank_match"].tolist(), cols["separability_match"].tolist())
         ]
-        candidates = sorted(q for q, r in max_res.items() if r > tol)
+        candidates = sorted(q for q, r in max_res.items() if not r <= tol)
         case_ok = not candidates and bool(cols["corank_match"].all() and cols["separability_match"].all())
         report["cases"][str(spec.case_id)] = {
             "description": spec.description, "predicted_corank": spec.corank, "points": points,

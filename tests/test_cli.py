@@ -2,6 +2,7 @@ import json
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,7 +18,8 @@ from orbit_atlas import (
     state_to_json,
     werner_state,
 )
-from orbit_atlas.cli import WERNER_BLOCK, _CliError, _parse_cases, main
+from orbit_atlas import submaximal, verify_cases
+from orbit_atlas.cli import WERNER_BLOCK, _CliError, _parse_cases, _report_json, main
 
 
 @pytest.fixture()
@@ -382,3 +384,50 @@ def test_module_entry_point_runs():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["max_local_dim"] == 6
+
+
+# appendix-verify writes its report from per-case templates; json.dumps(indent=2) is the oracle
+
+
+def _first_difference(got: str, want: str):
+    """None for equal texts, else the first differing line's number and both lines
+    (pytest's own diff of two long texts takes minutes)."""
+    if got == want:
+        return None
+    a, b = got.splitlines(), want.splitlines()
+    i = next((i for i, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
+    return i + 1, a[i:i + 1], b[i:i + 1]
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_report_is_written_as_json_dumps_indent_2(seed, capsys):
+    _, out, _ = _run(capsys, ["appendix-verify", "--seed", str(seed)])
+    assert _first_difference(out, json.dumps(verify_cases(samples=100, seed=seed), indent=2) + "\n") is None
+
+
+@pytest.mark.parametrize("samples", (1, 5))
+@pytest.mark.parametrize("cases", ("1-9", "4", "7-9"))
+def test_report_subsets_are_written_as_json_dumps_indent_2(cases, samples, tmp_path, capsys):
+    out = tmp_path / "report.json"
+    _run(capsys, ["appendix-verify", "--cases", cases, "--samples", str(samples), "--seed", "3",
+                  "--out", str(out)])
+    want = verify_cases(_parse_cases(cases), samples=samples, seed=3)
+    assert _first_difference(out.read_text(), json.dumps(want, indent=2) + "\n") is None
+
+
+def test_report_with_non_finite_residuals_is_written_as_json_dumps_indent_2(monkeypatch, capsys):
+    spec = submaximal.CASES[3]
+
+    def nan_w_eigs(*args):
+        return replace(spec.predict(*args), w_eigs=np.full(4, np.nan, dtype=complex))
+
+    monkeypatch.setitem(submaximal.CASES, 3, replace(spec, predict=nan_w_eigs))
+    code, out, err = _run(capsys, ["appendix-verify", "--cases", "2-4", "--samples", "5"])
+    report = verify_cases([2, 3, 4], samples=5, seed=0)
+    assert _first_difference(out, json.dumps(report, indent=2) + "\n") is None
+    assert code == 3 and "case 3: MISMATCH (w_eig)" in err
+    # a float NaN or infinity left in a report is written as json.dumps writes it
+    points = report["cases"]["3"]["points"]
+    points[0]["residuals"]["w_eig"], points[1]["residuals"]["xi"] = float("nan"), float("-inf")
+    points[2]["params"]["mu"] = float("inf")
+    assert _first_difference(_report_json(report), json.dumps(report, indent=2)) is None

@@ -288,3 +288,79 @@ def test_case_predictions_shapes():
     assert pred.xi.shape == (4,)
     assert pred.concurrence is None
     assert pred.separability in {"entangled", None}
+
+
+# the samplers' cheap draws consume the seeded stream exactly as the Generator
+# methods they replace, so every seeded report keeps its bytes
+
+
+@pytest.mark.parametrize("seeds", [range(0, 100), range(100, 200)])
+def test_signed_draws_as_uniform_times_a_choice_of_sign(seeds):
+    for seed in seeds:
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        for i in range(50):
+            lo, hi = (0.02, 0.1) if i % 2 else (0.02, 0.06)
+            assert submaximal._signed(rng, lo, hi) == float(ref.uniform(lo, hi) * ref.choice([-1.0, 1.0]))
+            assert rng.uniform() == ref.uniform()
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+
+@pytest.mark.parametrize("bounds", [(0.02, 0.24), (-1.0 / 12.0 + 0.002, 0.245), (-1.8, 1.8), (0.0, 1.0)])
+def test_uniform_draws_as_generator_uniform(bounds):
+    for seed in range(100):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(50):
+            assert submaximal._uniform(rng, *bounds) == ref.uniform(*bounds)
+            assert rng.integers(0, 2) == ref.integers(0, 2)
+            assert np.array_equal(rng.standard_normal(3), ref.standard_normal(3))
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+
+def _same_scalar(got, want) -> bool:
+    """Equal value, NaN and sign of zero included, and both real or both complex."""
+    if isinstance(got, complex) != isinstance(want, complex):
+        return False
+    pairs = [(got.real, want.real), (got.imag, want.imag)] if isinstance(got, complex) else [(got, want)]
+    return all(np.array_equal(g, w, equal_nan=True) and np.signbit(g) == np.signbit(w) for g, w in pairs)
+
+
+@pytest.mark.parametrize("x", [
+    0.0, -0.0, 0.25, 2.0, 1e-300, 1e300, -3.0, -1e-300, float("nan"), float("inf"), float("-inf"),
+    np.float64(-2.0), np.float64(0.5), 5, -4,
+    2 + 1j, -4 + 0j, complex(-4.0, -0.0), complex(0.0, -2.0), np.complex128(-1 + 1e-20j),
+], ids=repr)
+def test_sqrt_is_emath_sqrt_on_one_scalar(x):
+    assert _same_scalar(submaximal._sqrt(x), np.emath.sqrt(x))
+
+
+def _nan_predictions(spec, **nans):
+    def predict(*args):
+        return replace(spec.predict(*args), **nans)
+
+    return replace(spec, predict=predict)
+
+
+def test_a_nan_residual_is_a_mismatch(monkeypatch):
+    monkeypatch.setitem(CASES, 3, _nan_predictions(CASES[3], w_eigs=np.full(4, np.nan, dtype=complex)))
+    case = verify_cases([3], samples=5, seed=0)["cases"]["3"]
+    assert case["all_match"] is False and case["typo_candidates"] == ["w_eig"]
+    assert case["max_residuals"]["w_eig"] is None
+    assert all(p["residuals"]["w_eig"] is None for p in case["points"])
+    assert case["max_residuals"]["gram_eig"] <= 1e-9
+    assert not verify_case(3, case["points"][0]["params"]).matches(1e-9)
+
+
+def test_a_nan_stated_concurrence_is_a_mismatch(monkeypatch):
+    monkeypatch.setitem(CASES, 3, _nan_predictions(CASES[3], concurrence=float("nan")))
+    case = verify_cases([3], samples=5, seed=0)["cases"]["3"]
+    assert case["typo_candidates"] == ["concurrence"] and case["max_residuals"]["concurrence"] is None
+    v = verify_case(3, case["points"][0]["params"])
+    assert v.concurrence_residual == float("inf") and not v.matches(1e-9)
+
+
+def test_unstated_concurrence_is_not_a_mismatch():
+    # cases 7-9 state no concurrence: their column is null and never a candidate
+    for cid, case in verify_cases([7, 8, 9], samples=5, seed=0)["cases"].items():
+        assert case["max_residuals"]["concurrence"] == 0.0
+        assert all(p["residuals"]["concurrence"] is None for p in case["points"])
+        assert "concurrence" not in case["typo_candidates"]

@@ -9,7 +9,8 @@ file) first on the import path, in OUTDIR as the working directory, over:
 - the state fixtures, written to ``states/`` by numpy alone (pure, mixed,
   Werner, maximally mixed, a Bloch payload, 2x3 and 3x3), with ``analyze``
   and ``ball-check`` on each;
-- ``appendix-verify`` at seeds 0, 1 and 7;
+- ``appendix-verify`` at seeds 0, 1 and 7, and on cases 7-9 with 1 sample and
+  cases 2 and 6 with 3 samples;
 - ``dims`` and ``werner-scan`` (default grid);
 - ``random-scan`` at 2x2, 2x3, 3x3, 4x4 and 5x5, mixed and pure, seeds 3 and 11.
 
@@ -85,6 +86,10 @@ def commands() -> list[tuple[str, list[str]]]:
         cmds.append((f"ball-check-{name}", ["ball-check", f"states/{name}.json"]))
     for seed in (0, 1, 7):
         cmds.append((f"appendix-verify-seed{seed}", ["appendix-verify", "--seed", str(seed)]))
+    # single-point cases, and vector parameters with null concurrences
+    for cases, samples in (("7-9", 1), ("2,6", 3)):
+        cmds.append((f"appendix-verify-cases{cases}-samples{samples}",
+                     ["appendix-verify", "--cases", cases, "--samples", str(samples)]))
     cmds.append(("dims-3-4", ["dims", "3", "4"]))
     cmds.append(("werner-scan", ["werner-scan", "--out", "werner-scan.csv"]))
     for seed in SEEDS:
