@@ -20,6 +20,7 @@ import argparse
 import json
 import os
 from dataclasses import asdict
+from functools import cache
 from itertools import chain
 from operator import itemgetter
 import sys
@@ -29,18 +30,18 @@ import numpy as np
 
 from .entanglement import (
     _check_unit_spectrum,
+    _ppt_verdict,
     absolutely_separable,
     concurrences,
     cstar,
-    entanglement_of_formation,
     entanglement_report,
+    entanglements_of_formation,
     in_maximal_ball,
-    ppt_check,
     pt_spectra,
     purities,
     unit_spectrum,
 )
-from .gram import RANK_TOL, gram_direct
+from .gram import RANK_TOL, gram_direct, gram_stack
 from .canonical import canonicalize_mixed_2x2, pure_stratum
 from .states import (
     BlochForm,
@@ -50,8 +51,7 @@ from .states import (
     compose_bloch,
     bloch_from_json,
     decompose_bloch,
-    pure_density,
-    random_state,
+    random_states,
     state_from_json,
     validate_density,
     werner_matrices,
@@ -65,17 +65,16 @@ __all__ = ["main"]
 # of the stacked LAPACK kernels, small enough that the block's temporaries
 # stay well below the interpreter's own resident memory.
 WERNER_BLOCK = 256
+# Bytes of complex tangent stack per random-scan block (see _random_block).
+RANDOM_BLOCK_BYTES = 2**19
 
 _RANK_TOL_HELP = "Gram rank tolerance, relative to the largest Gram eigenvalue"
 _LEAF = "\0"  # a leaf in a report template; json writes it as "\u0000"
+_CELL = "%.17g".__mod__  # a float as its CSV cell: 17 significant digits round-trip a double
 
 
 class _CliError(Exception):
     """Input-contract violation; caught in main and mapped to exit 2."""
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
 
 
 def _tolerance(text: str) -> float:
@@ -178,6 +177,17 @@ def _cmd_analyze(args) -> int:
     return 0
 
 
+def _write_blocks(path: str, header: str, row: str, total: int, size: int, block) -> None:
+    """Write header, then rows 0..total-1 in blocks of at most size: block(start, stop)
+    returns the block's equal-length columns, and all of its rows come from one
+    %-formatting of the row template repeated."""
+    with _open_out(path) as fh:
+        fh.write(header)
+        for start in range(0, total, size):
+            columns = block(start, min(start + size, total))
+            fh.write(row * len(columns[0]) % tuple(chain.from_iterable(zip(*columns))))
+
+
 def _cmd_werner_scan(args) -> int:
     if args.x_steps < 2 or args.theta_steps < 2:
         raise _CliError("step counts must be at least 2")
@@ -185,21 +195,21 @@ def _cmd_werner_scan(args) -> int:
     thetas = np.linspace(0.0, np.pi / 2.0, args.theta_steps)
     x_grid = np.repeat(xs, thetas.size)
     theta_grid = np.tile(thetas, xs.size)
-    with _open_out(args.out) as fh:
-        fh.write("x,theta,concurrence,eof,min_pt_eigenvalue,in_ball\n")
-        for start in range(0, x_grid.size, WERNER_BLOCK):
-            x = x_grid[start : start + WERNER_BLOCK]
-            theta = theta_grid[start : start + WERNER_BLOCK]
-            mats = werner_matrices(x, theta)
-            conc = concurrences(mats)
-            min_pt = pt_spectra(mats, 2, 2)[:, 0]
-            ball = in_maximal_ball(purities(mats), 4)
-            rows = zip(x.tolist(), theta.tolist(), conc.tolist(), min_pt.tolist(), ball.tolist())
-            fh.write("".join(
-                f"{_fmt(xv)},{_fmt(tv)},{_fmt(c)},{_fmt(entanglement_of_formation(c))},"
-                f"{_fmt(pt)},{'1' if inside else '0'}\n"
-                for xv, tv, c, pt, inside in rows
-            ))
+    # the grid has x_steps + theta_steps distinct coordinates: each is formatted once
+    x_cells = [cell for cell in map(_CELL, xs.tolist()) for _ in range(thetas.size)]
+    theta_cells = list(map(_CELL, thetas.tolist())) * xs.size
+
+    def block(start, stop):
+        mats = werner_matrices(x_grid[start:stop], theta_grid[start:stop])
+        conc = concurrences(mats)
+        eof = entanglements_of_formation(conc)
+        min_pt = pt_spectra(mats, 2, 2)[:, 0]
+        ball = in_maximal_ball(purities(mats), 4)
+        return (x_cells[start:stop], theta_cells[start:stop], conc.tolist(), eof.tolist(),
+                min_pt.tolist(), ball.tolist())
+
+    _write_blocks(args.out, "x,theta,concurrence,eof,min_pt_eigenvalue,in_ball\n",
+                  "%s,%s,%.17g,%.17g,%.17g,%d\n", x_grid.size, WERNER_BLOCK, block)
     return 0
 
 
@@ -298,6 +308,13 @@ def _cmd_appendix_verify(args) -> int:
     return 0 if report["all_match"] else 3
 
 
+def _random_block(k: int, m: int) -> int:
+    """States per random-scan block: as many as keep the block's complex tangent stack,
+    K^2 + M^2 - 2 matrices of (KM)^2 entries per state, within RANDOM_BLOCK_BYTES."""
+    n = k * m
+    return max(1, RANDOM_BLOCK_BYTES // (16 * (k * k + m * m - 2) * n * n))
+
+
 def _cmd_random_scan(args) -> int:
     if args.k < 2 or args.m < 2:
         raise _CliError("subsystem dimensions must be at least 2")
@@ -305,18 +322,22 @@ def _cmd_random_scan(args) -> int:
         raise _CliError("count must be at least 1")
     seed = args.seed if args.seed is not None else _default_seed()
     rng = np.random.default_rng(seed)
-    d_max = args.k**2 + args.m**2 - 2
-    hits = 0
-    with _open_out(args.out) as fh:
-        fh.write("index,local_dim,gram_min,gram_max,ppt_verdict\n")
-        for i in range(args.count):
-            w = random_state(args.ensemble, args.k, args.m, rng)
-            if args.ensemble == "pure":
-                w = pure_density(w)
-            gram = gram_direct(w, args.tol)
-            hits += gram.rank == d_max
-            lo, hi = _fmt(gram.spectrum[0]), _fmt(gram.spectrum[-1])
-            fh.write(f"{i},{gram.rank},{lo},{hi},{ppt_check(w).verdict}\n")
+    k, m = args.k, args.m
+    d_max = k * k + m * m - 2
+    ranks = []
+
+    def block(start, stop):
+        mats = random_states(args.ensemble, k, m, stop - start, rng)
+        if args.ensemble == "pure":
+            mats = mats[:, :, None] * mats.conj()[:, None, :]
+        _, spectra, rank = gram_stack(mats, k, m, args.tol)
+        ranks.extend(rank.tolist())
+        verdicts = [_ppt_verdict(low, k, m) for low in pt_spectra(mats, k, m)[:, 0].tolist()]
+        return range(start, stop), rank.tolist(), spectra[:, 0].tolist(), spectra[:, -1].tolist(), verdicts
+
+    _write_blocks(args.out, "index,local_dim,gram_min,gram_max,ppt_verdict\n", "%d,%d,%.17g,%.17g,%s\n",
+                  args.count, _random_block(k, m), block)
+    hits = ranks.count(d_max)
     frac = hits / args.count
     print(f"local_dim={d_max} attained by {hits}/{args.count} samples (fraction {frac:.6f})", file=sys.stderr)
     return 0
@@ -360,7 +381,9 @@ def _cmd_ball_check(args) -> int:
     return 0
 
 
-def _build_parser() -> argparse.ArgumentParser:
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and reused by every later one."""
     parser = argparse.ArgumentParser(
         prog="orbit-atlas",
         description="Local-orbit geometry and entanglement diagnostics of bipartite states.",
@@ -411,7 +434,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except _CliError as exc:

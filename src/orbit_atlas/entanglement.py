@@ -11,10 +11,11 @@ For any bipartition: the partial-transpose test (conclusive exactly for
 maximally mixed state, and the spectrum-only bound
 c* = max(0, r1 - r3 - 2 sqrt(r2 r4)) on absolutely separable 2x2 spectra.
 
-The spin-flip spectrum, concurrence, partial-transpose spectrum and
-purity are computed by kernels on (..., n, n) stacks (``xi_spectra``,
-``concurrences``, ``pt_spectra``, ``purities``); the per-state functions
-wrap them, so a stack and a loop over its states run the same arithmetic.
+The spin-flip spectrum, concurrence, entanglement of formation,
+partial-transpose spectrum and purity are computed by kernels on stacks
+(``xi_spectra``, ``concurrences``, ``entanglements_of_formation``,
+``pt_spectra``, ``purities``); the per-state functions wrap them, so a stack
+and a loop over its states run the same arithmetic.
 ``concurrences_from_xi`` takes the concurrence from spin-flip spectra
 already computed.
 
@@ -42,6 +43,7 @@ __all__ = [
     "concurrences_from_xi",
     "concurrences",
     "concurrence_mixed",
+    "entanglements_of_formation",
     "entanglement_of_formation",
     "PPTResult",
     "pt_spectra",
@@ -62,6 +64,8 @@ PPT_TOL = 1e-10
 
 _SY = np.array([[0, -1j], [1j, 0]])
 _FLIP = np.kron(_SY, _SY)
+# X @ _FLIP is X with its columns reversed and the first and last of them negated
+_FLIP_SIGNS = np.array([-1.0, 1.0, 1.0, -1.0])
 
 
 def concurrence_pure(w) -> float:
@@ -94,7 +98,7 @@ def xi_spectra(mats: np.ndarray) -> np.ndarray:
     if low < -XI_CLAMP:
         raise ValueError(f"density matrix has negative eigenvalue {low}")
     root = (vecs * np.sqrt(vals.clip(0.0, None))[..., None, :]) @ np.swapaxes(vecs.conj(), -1, -2)
-    s = np.linalg.svd(root @ _FLIP @ root.conj(), compute_uv=False)
+    s = np.linalg.svd((root[..., ::-1] * _FLIP_SIGNS) @ root.conj(), compute_uv=False)
     return np.sort(s * s, axis=-1)[..., ::-1]
 
 
@@ -121,18 +125,24 @@ def concurrence_mixed(w: DensityMatrix) -> float:
     return float(concurrences(_mat_2x2(w)))
 
 
-def _h2(p: float) -> float:
-    if p <= 0.0 or p >= 1.0:
-        return 0.0
-    return float(-p * np.log2(p) - (1 - p) * np.log2(1 - p))
+def entanglements_of_formation(c) -> np.ndarray:
+    """Entanglement of formation h((1 + sqrt(1 - c^2)) / 2), in bits, of each
+    concurrence in an array c, with h the binary entropy.  Every c must lie in
+    [0, 1] within 1e-12; NaN raises."""
+    c = np.asarray(c, dtype=float)
+    bad = ~((-1e-12 <= c) & (c <= 1.0 + 1e-12))
+    if np.any(bad):
+        raise ValueError(f"concurrence must lie in [0, 1], got {c[bad].flat[0]}")
+    c = c.clip(0.0, 1.0)
+    p = (1.0 + np.sqrt(1.0 - c * c)) / 2.0  # in [1/2, 1]
+    inside = p < 1.0
+    q = np.where(inside, p, 0.5)  # keeps log2(1 - p) finite where h(p) = 0
+    return np.where(inside, -q * np.log2(q) - (1 - q) * np.log2(1 - q), 0.0)
 
 
 def entanglement_of_formation(c: float) -> float:
     """Entanglement of formation of a 2x2 state with concurrence c (in bits)."""
-    if not -1e-12 <= c <= 1.0 + 1e-12:
-        raise ValueError(f"concurrence must lie in [0, 1], got {c}")
-    c = min(max(c, 0.0), 1.0)
-    return _h2((1.0 + np.sqrt(1.0 - c * c)) / 2.0)
+    return float(entanglements_of_formation(c))
 
 
 @dataclass(frozen=True)
@@ -225,8 +235,9 @@ def in_maximal_ball(purity, n: int):
 
 def maximal_ball_check(w: DensityMatrix) -> bool:
     """Whether the state lies in the maximal ball around I/N (see
-    in_maximal_ball).  Every state in the ball is PPT; for N = 4 and N = 6
-    it is separable outright."""
+    in_maximal_ball).  Every state in the ball is separable, for any
+    bipartite split of N, not only at N = 4 and 6 (Gurvits & Barnum,
+    PRA 66, 062311 (2002)), so it is PPT as well."""
     return bool(in_maximal_ball(float(purities(w.matrix)), w.dim))
 
 

@@ -20,9 +20,10 @@ rather than the rows, and ``orbit_dim_oracle`` takes the rows' singular values.
 The P and T stacks and the rows live in one private workspace per thread, kept for
 the last (..., K^2 + M^2 - 2, KM, KM) shape asked for and reallocated only when the
 shape changes (about 1.2 MB at 5x5), so repeated calls at one split allocate no
-tangent-sized arrays.  No result aliases it: ``gram_stack`` and ``gram_direct``
-return fresh matrices, ``orbit_dim_oracle`` an int, and ``tangent_vectors`` a
-stack of its own.
+tangent-sized arrays; the old workspace is released before the new one is allocated,
+so a shape change never holds two.  No result aliases it: ``gram_stack`` and
+``gram_direct`` return fresh matrices, ``orbit_dim_oracle`` an int, and
+``tangent_vectors`` a stack of its own.
 
 ``gram_closed_form`` evaluates C directly from the Bloch coefficients,
 
@@ -158,6 +159,7 @@ def _tangent_rows(mats: np.ndarray, k: int, m: int) -> np.ndarray:
     shape = (*mats.shape[:-2], k * k + m * m - 2, n, n)
     held = getattr(_workspace, "held", None)
     if held is None or held[0] != shape:
+        held = _workspace.held = None  # release the old workspace before allocating the new one
         pair = (np.empty(shape, dtype=complex), np.empty(shape, dtype=complex))
         held = _workspace.held = shape, pair, np.empty((*shape[:-2], n * n))
     _, pair, rows = held

@@ -36,6 +36,7 @@ __all__ = [
     "schmidt_vector",
     "werner_state",
     "werner_matrices",
+    "random_states",
     "random_state",
     "haar_unitary",
     "random_su2",
@@ -282,25 +283,35 @@ def swap_sides(f: BlochForm) -> BlochForm:
     return BlochForm(f.m, f.k, f.b, f.a, f.g.T)
 
 
-def random_state(kind: str, k: int, m: int, seed=None):
-    """Sample a random state of a K x M system.
+def random_states(kind: str, k: int, m: int, count: int, rng: np.random.Generator) -> np.ndarray:
+    """Sample count random states of a K x M system from the generator rng.
 
-    kind="pure": Haar-uniform unit vector (returned as PureState).
-    kind="mixed": Hilbert-Schmidt sample G G^dag / Tr(G G^dag) with G a
-    square complex Ginibre matrix (returned as DensityMatrix).
-    A fixed integer seed gives a reproducible sample.
+    kind="pure": Haar-uniform unit vectors, a (count, KM) complex stack.
+    kind="mixed": Hilbert-Schmidt samples G G^dag / Tr(G G^dag) with G a
+    square complex Ginibre matrix, a (count, KM, KM) complex stack.
+    The stream is consumed exactly as count calls of random_state would.
     """
-    rng = _rng(seed)
     n = k * m
     if kind == "pure":
-        amp = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        amp /= np.linalg.norm(amp)
-        return PureState(k, m, amp)
+        z = rng.standard_normal((count, 2, n))
+        amps = z[:, 0] + 1j * z[:, 1]
+        for amp in amps:  # an axis=-1 norm differs from the one-vector norm in the last bit
+            amp /= np.linalg.norm(amp)
+        return amps
     if kind == "mixed":
-        g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        mat = g @ g.conj().T
-        return DensityMatrix(k, m, mat / np.trace(mat).real)
+        z = rng.standard_normal((count, 2, n, n))
+        g = z[:, 0] + 1j * z[:, 1]
+        mats = g @ g.conj().mT
+        return mats / np.trace(mats, axis1=-2, axis2=-1).real[:, None, None]
     raise ValueError(f"unknown state kind {kind!r}; expected 'pure' or 'mixed'")
+
+
+def random_state(kind: str, k: int, m: int, seed=None):
+    """One random state of a K x M system (see random_states): a PureState for
+    kind="pure", a DensityMatrix for kind="mixed".  A fixed integer seed gives a
+    reproducible sample."""
+    row = random_states(kind, k, m, 1, _rng(seed))[0]
+    return PureState(k, m, row) if kind == "pure" else DensityMatrix(k, m, row)
 
 
 def _jsonable(value):

@@ -1,25 +1,34 @@
 import json
+import os
 import subprocess
 import sys
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import orbit_atlas
 from orbit_atlas import (
     concurrence_mixed,
+    concurrences,
     entanglement_of_formation,
+    gram_direct,
+    in_maximal_ball,
     maximal_ball_check,
     ppt_check,
+    pt_spectra,
     pure_density,
+    purities,
     random_state,
     schmidt_vector,
     state_to_json,
+    werner_matrices,
     werner_state,
 )
-from orbit_atlas import submaximal, verify_cases
-from orbit_atlas.cli import WERNER_BLOCK, _CliError, _parse_cases, _report_json, main
+from orbit_atlas import cli, submaximal, verify_cases
+from orbit_atlas.cli import WERNER_BLOCK, _CliError, _parse_cases, _random_block, _report_json, main
 
 
 @pytest.fixture()
@@ -294,6 +303,28 @@ def test_werner_scan_blocks_match_per_state_reference(tmp_path, capsys):
     assert out.read_bytes() == "".join(ref).encode("ascii")
 
 
+def _werner_rows(nx: int, nt: int) -> str:
+    """The per-row writer: the kernels on the whole grid, then one format call per cell
+    and one scalar entanglement_of_formation per state."""
+    x = np.repeat(np.linspace(0.0, 1.0, nx), nt)
+    theta = np.tile(np.linspace(0.0, np.pi / 2.0, nt), nx)
+    mats = werner_matrices(x, theta)
+    columns = (x, theta, concurrences(mats), pt_spectra(mats, 2, 2)[:, 0], in_maximal_ball(purities(mats), 4))
+    ref = ["x,theta,concurrence,eof,min_pt_eigenvalue,in_ball\n"]
+    for xv, tv, c, pt, inside in zip(*(col.tolist() for col in columns)):
+        cells = (xv, tv, c, entanglement_of_formation(c), pt)
+        ref.append(",".join(format(v, ".17g") for v in cells) + (",1\n" if inside else ",0\n"))
+    return "".join(ref)
+
+
+@pytest.mark.parametrize("nx,nt", [(2, 2), (4, 3), (37, 11), (101, 91)])
+def test_werner_scan_matches_the_per_row_writer(nx, nt, tmp_path, capsys):
+    out = tmp_path / "werner.csv"
+    assert _run(capsys, ["werner-scan", "--x-steps", str(nx), "--theta-steps", str(nt),
+                         "--out", str(out)])[0] == 0
+    assert out.read_bytes() == _werner_rows(nx, nt).encode("ascii")
+
+
 def test_werner_scan_errors(tmp_path, capsys):
     assert _run(capsys, ["werner-scan", "--x-steps", "1", "--theta-steps", "4",
                          "--out", str(tmp_path / "x.csv")])[0] == 2
@@ -316,6 +347,72 @@ def test_random_scan(tmp_path, capsys):
     assert out.read_bytes() == rerun.read_bytes()
     assert _run(capsys, ["random-scan", "--k", "2", "--m", "2", "--count", "0",
                          "--out", str(out)])[0] == 2
+
+
+def _random_scan_rows(k: int, m: int, count: int, seed: int, ensemble: str) -> tuple[str, str]:
+    """CSV and stderr of random-scan written one state at a time."""
+    rng = np.random.default_rng(seed)
+    d_max, hits = k * k + m * m - 2, 0
+    rows = ["index,local_dim,gram_min,gram_max,ppt_verdict\n"]
+    for i in range(count):
+        w = random_state(ensemble, k, m, rng)
+        if ensemble == "pure":
+            w = pure_density(w)
+        gram = gram_direct(w)
+        hits += gram.rank == d_max
+        lo, hi = (format(float(v), ".17g") for v in gram.spectrum[[0, -1]])
+        rows.append(f"{i},{gram.rank},{lo},{hi},{ppt_check(w).verdict}\n")
+    err = f"local_dim={d_max} attained by {hits}/{count} samples (fraction {hits / count:.6f})\n"
+    return "".join(rows), err
+
+
+@pytest.mark.parametrize("ensemble", ["mixed", "pure"])
+@pytest.mark.parametrize("k,m", [(2, 2), (2, 3), (3, 3), (4, 4), (5, 5)])
+def test_random_scan_blocks_match_a_per_state_loop(k, m, ensemble, tmp_path, capsys):
+    block = _random_block(k, m)
+    out = tmp_path / "scan.csv"
+    for count in sorted({1, block - 1, block, block + 1, 97} - {0}):
+        seed = 200 + count
+        code, _, err = _run(capsys, ["random-scan", "--k", str(k), "--m", str(m), "--count", str(count),
+                                     "--seed", str(seed), "--ensemble", ensemble, "--out", str(out)])
+        want_csv, want_err = _random_scan_rows(k, m, count, seed, ensemble)
+        assert code == 0
+        assert (out.read_text(), err) == (want_csv, want_err), count
+
+
+def test_random_scan_block_sizes_follow_the_memory_budget():
+    assert [_random_block(k, k) for k in (2, 3, 4, 5)] == [341, 25, 4, 1]
+
+
+def test_main_builds_its_parser_once_and_matches_fresh_processes(tmp_path, capsys, monkeypatch):
+    calls = [
+        ["werner-scan", "--x-steps", "3", "--theta-steps", "2", "--out", "w.csv"],
+        ["random-scan", "--k", "2", "--m", "3", "--count", "5", "--seed", "2", "--out", "r.csv"],
+        ["random-scan", "--k", "two", "--m", "3", "--count", "5", "--out", "bad.csv"],
+    ]
+    src = str(Path(orbit_atlas.__file__).resolve().parents[1])
+    env = {key: v for key, v in os.environ.items() if key != "ORBIT_ATLAS_SEED"}
+    env["PYTHONPATH"] = os.pathsep.join([src, *filter(None, [env.get("PYTHONPATH")])])
+    monkeypatch.delenv("ORBIT_ATLAS_SEED", raising=False)
+    here, fresh = tmp_path / "here", tmp_path / "fresh"
+    here.mkdir()
+    fresh.mkdir()
+    monkeypatch.chdir(here)
+    codes = []
+    for argv in calls:
+        try:
+            codes.append(main(argv))
+        except SystemExit as exc:
+            codes.append(exc.code)
+        got = capsys.readouterr()
+        done = subprocess.run([sys.executable, "-m", "orbit_atlas", *argv], cwd=fresh, env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert (codes[-1], got.out, got.err) == (done.returncode, done.stdout, done.stderr)
+    assert codes == [0, 0, 2]
+    assert sorted(p.name for p in here.iterdir()) == sorted(p.name for p in fresh.iterdir()) == ["r.csv", "w.csv"]
+    for name in ("r.csv", "w.csv"):
+        assert (here / name).read_bytes() == (fresh / name).read_bytes()
+    assert cli._parser.cache_info().misses == 1
 
 
 def test_appendix_verify_exit_codes(tmp_path, capsys):

@@ -16,6 +16,7 @@ from orbit_atlas import (
     decompose_bloch,
     entanglement_of_formation,
     entanglement_report,
+    entanglements_of_formation,
     in_maximal_ball,
     maximal_ball_check,
     maximally_mixed,
@@ -25,10 +26,12 @@ from orbit_atlas import (
     purities,
     pure_density,
     random_state,
+    random_states,
     schmidt_vector,
     spin_flip,
     unit_spectrum,
     validate_density,
+    werner_matrices,
     werner_state,
     xi_spectra,
     xi_spectrum,
@@ -106,6 +109,70 @@ def test_entanglement_of_formation_contract():
     assert np.all(np.diff(grid) > 0)
     with pytest.raises(ValueError):
         entanglement_of_formation(1.2)
+
+
+def _bits(x) -> list:
+    return np.asarray(x, dtype=float).view(np.uint64).tolist()
+
+
+def _eof_reference(c: float) -> float:
+    """The one-state arithmetic: clamp c, then the binary entropy of (1 + sqrt(1 - c^2)) / 2."""
+    c = min(max(c, 0.0), 1.0)
+    p = (1.0 + np.sqrt(1.0 - c * c)) / 2.0
+    if p <= 0.0 or p >= 1.0:
+        return 0.0
+    return float(-p * np.log2(p) - (1 - p) * np.log2(1 - p))
+
+
+def test_stacked_entanglement_of_formation_equals_the_scalar_bit_for_bit():
+    edges = [0.0, -0.0, 5e-324, 1e-300, 1e-8, 0.5, 1.0 - 2.0**-53, 1.0, -1e-12, 1.0 + 1e-12]
+    c = np.concatenate([np.linspace(0.0, 1.0, 20001), edges])
+    want = [_eof_reference(v) for v in c.tolist()]
+    assert _bits(entanglements_of_formation(c)) == _bits(want)
+    assert _bits([entanglement_of_formation(v) for v in c.tolist()]) == _bits(want)
+    grid = c[:20001].reshape(1, 3, 6667)
+    assert _bits(entanglements_of_formation(grid)) == _bits(np.reshape(want[:20001], grid.shape))
+
+
+@pytest.mark.parametrize("c", [
+    np.nan, np.inf, -np.inf, -0.5, 1.2,
+    np.nextafter(-1e-12, -1.0), np.nextafter(1.0 + 1e-12, 2.0),  # just outside the accepted range
+    -1e-12, 1.0 + 1e-12, 0.3,  # accepted
+])
+def test_entanglement_of_formation_raises_exactly_where_the_stack_does(c):
+    stack = np.array([0.1, c, 0.9])
+    if -1e-12 <= c <= 1.0 + 1e-12:
+        want = _eof_reference(c)
+        assert _bits(entanglement_of_formation(c)) == _bits(want)
+        assert _bits(entanglements_of_formation(stack)[1]) == _bits(want)
+    else:
+        with pytest.raises(ValueError, match=f"concurrence must lie in \\[0, 1\\], got {c}"):
+            entanglement_of_formation(c)
+        with pytest.raises(ValueError, match=f"got {c}"):
+            entanglements_of_formation(stack)
+
+
+def _xi_dense(mats: np.ndarray) -> np.ndarray:
+    """Spin-flip spectra with sqrt(W) F sqrt(W)* formed as the dense product, F = sigma_y x sigma_y."""
+    sy = np.array([[0, -1j], [1j, 0]])
+    vals, vecs = np.linalg.eigh(mats)
+    root = (vecs * np.sqrt(vals.clip(0.0, None))[..., None, :]) @ np.swapaxes(vecs.conj(), -1, -2)
+    s = np.linalg.svd(root @ np.kron(sy, sy) @ root.conj(), compute_uv=False)
+    return np.sort(s * s, axis=-1)[..., ::-1]
+
+
+def test_xi_spectra_equal_the_dense_spin_flip_bit_for_bit():
+    rng = np.random.default_rng(60)
+    amps = random_states("pure", 2, 2, 300, rng)
+    x, theta = np.meshgrid(np.linspace(0.0, 1.0, 11), np.linspace(0.0, np.pi / 2, 7))
+    stacks = [
+        random_states("mixed", 2, 2, 300, rng),
+        amps[:, :, None] * amps.conj()[:, None, :],
+        werner_matrices(x, theta),
+    ]
+    for mats in stacks:
+        assert _bits(xi_spectra(mats)) == _bits(_xi_dense(mats))
+        assert all(np.array_equal(xi_spectra(w), _xi_dense(w)) for w in mats.reshape(-1, 4, 4)[::37])
 
 
 def test_ppt_bell_and_boundary():

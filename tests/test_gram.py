@@ -287,3 +287,24 @@ def test_warm_5x5_routes_allocate_less_than_one_tangent_stack(route):
     finally:
         tracemalloc.stop()
     assert peak < 48 * 25 * 25 * 16
+
+
+def test_a_shape_change_releases_the_old_workspace_before_allocating():
+    big, small = random_state("mixed", 5, 5, seed=150), random_state("mixed", 4, 5, seed=151)
+    gram_direct(big)
+    gram_direct(small)  # both splits' cached bases and coordinates are built
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        gram_direct(big)  # allocates the 5x5 workspace while traced
+        tracemalloc.reset_peak()
+        gram_direct(small)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+    def workspace(d, n):  # P and T complex, the rows real
+        return d * n * n * (16 + 16 + 8)
+
+    # holding both would need the 5x5 workspace plus a whole 4x5 one
+    assert peak < workspace(48, 25) + workspace(39, 20) // 2

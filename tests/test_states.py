@@ -22,6 +22,7 @@ from orbit_atlas import (
     pure_density,
     random_local_unitary,
     random_state,
+    random_states,
     random_su2,
     schmidt_vector,
     state_from_json,
@@ -233,6 +234,38 @@ def test_random_state_reproducible_and_valid():
     assert abs(np.linalg.norm(p.amplitudes) - 1.0) <= 1e-12
     with pytest.raises(ValueError):
         random_state("thermal", 2, 2)
+
+
+def _one_state(kind: str, n: int, rng: np.random.Generator) -> np.ndarray:
+    """One draw with the one-state arithmetic: a unit vector, or G G^dag / Tr(G G^dag)."""
+    if kind == "pure":
+        amp = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        return amp / np.linalg.norm(amp)
+    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    mat = g @ g.conj().T
+    return mat / np.trace(mat).real
+
+
+@pytest.mark.parametrize("k,m", [(2, 2), (2, 3), (4, 4), (5, 5)])
+@pytest.mark.parametrize("count", [1, 7])
+@pytest.mark.parametrize("kind", ["mixed", "pure"])
+def test_random_states_equal_sequential_random_state_calls(kind, count, k, m):
+    rngs = [np.random.default_rng(70 + k * m) for _ in range(3)]
+    stack = random_states(kind, k, m, count, rngs[0])
+    calls = [random_state(kind, k, m, rngs[1]) for _ in range(count)]
+    loop = np.array([w.amplitudes if kind == "pure" else w.matrix for w in calls])
+    reference = np.array([_one_state(kind, k * m, rngs[2]) for _ in range(count)])
+    assert stack.shape == ((count, k * m) if kind == "pure" else (count, k * m, k * m))
+    for want in (loop, reference):
+        assert stack.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+    assert rngs[0].bit_generator.state == rngs[1].bit_generator.state == rngs[2].bit_generator.state
+
+
+def test_random_states_rejects_an_unknown_kind_before_drawing():
+    rng, fresh = np.random.default_rng(5), np.random.default_rng(5)
+    with pytest.raises(ValueError, match="unknown state kind"):
+        random_states("thermal", 2, 2, 3, rng)
+    assert rng.bit_generator.state == fresh.bit_generator.state
 
 
 def test_state_json_round_trip():

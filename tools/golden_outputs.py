@@ -11,8 +11,10 @@ file) first on the import path, in OUTDIR as the working directory, over:
   and ``ball-check`` on each;
 - ``appendix-verify`` at seeds 0, 1 and 7, and on cases 7-9 with 1 sample and
   cases 2 and 6 with 3 samples;
-- ``dims`` and ``werner-scan`` (default grid);
-- ``random-scan`` at 2x2, 2x3, 3x3, 4x4 and 5x5, mixed and pure, seeds 3 and 11.
+- ``dims``, and ``werner-scan`` on the default grid and on a 37 x 11 grid, whose
+  last block of states is partial;
+- ``random-scan`` at 2x2, 2x3, 3x3, 4x4 and 5x5, mixed and pure, seeds 3 and 11,
+  and 13 mixed 4x4 states at seed 5, whose last block is partial.
 
 Each command leaves ``NAME.out`` (stdout) and ``NAME.err`` (stderr), plus
 any file it writes, and ``exit_codes.txt`` lists every NAME with its exit
@@ -92,12 +94,16 @@ def commands() -> list[tuple[str, list[str]]]:
                      ["appendix-verify", "--cases", cases, "--samples", str(samples)]))
     cmds.append(("dims-3-4", ["dims", "3", "4"]))
     cmds.append(("werner-scan", ["werner-scan", "--out", "werner-scan.csv"]))
+    cmds.append(("werner-scan-37x11", ["werner-scan", "--x-steps", "37", "--theta-steps", "11",
+                                       "--out", "werner-scan-37x11.csv"]))
     for seed in SEEDS:
         for ensemble in ("mixed", "pure"):
             for k, m in SIZES:
                 name = f"random-scan-{ensemble}-{k}x{m}-seed{seed}"
                 cmds.append((name, ["random-scan", "--k", str(k), "--m", str(m), "--count", str(RANDOM_COUNT),
                                     "--seed", str(seed), "--ensemble", ensemble, "--out", f"{name}.csv"]))
+    cmds.append(("random-scan-mixed-4x4-count13", ["random-scan", "--k", "4", "--m", "4", "--count", "13",
+                                                   "--seed", "5", "--out", "random-scan-mixed-4x4-count13.csv"]))
     return cmds
 
 
